@@ -1,8 +1,10 @@
 /// \file pbo_cli.cpp
 /// \brief Stand-alone pseudo-Boolean optimizer over the OPB competition
-///        format — the minisat+-style engine behind the paper's "pbo"
-///        baseline, exposed directly. Without a file argument it solves
-///        a built-in 0/1 knapsack and prints the instance it solved.
+///        format: the SAT–UNSAT linear search behind the paper's "pbo"
+///        baseline (WeightedLinearSolver::solvePbo in its all-PB bound
+///        encoding, core/wlinear.h), exposed directly. Without a file
+///        argument it solves a built-in 0/1 knapsack and prints the
+///        instance it solved.
 ///
 /// Usage: pbo_cli [--adder] [file.opb]
 /// Output follows PB-competition conventions: `o <value>` improvements,
@@ -13,17 +15,17 @@
 #include <iostream>
 #include <sstream>
 
+#include "core/wlinear.h"
 #include "pbo/opb.h"
-#include "pbo/pbo_solver.h"
 
 int main(int argc, char** argv) {
   using namespace msu;
 
-  PboOptions opts;
+  PbEncoding encoding = PbEncoding::Bdd;
   const char* path = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--adder") == 0) {
-      opts.encoding = PbEncoding::Adder;
+      encoding = PbEncoding::Adder;
     } else {
       path = argv[i];
     }
@@ -53,11 +55,14 @@ int main(int argc, char** argv) {
     problem = parseOpb(opb);
   }
 
-  PboSolver solver(opts);
-  const PboResult r = solver.solve(problem);
+  MaxSatOptions opts;
+  opts.onBounds = [](Weight, Weight upper) {
+    std::cout << "o " << upper << "\n";
+  };
+  WeightedLinearSolver solver(opts, encoding, BoundEncoding::Pb);
+  const MaxSatResult r = solver.solvePbo(problem);
   switch (r.status) {
-    case PboStatus::Optimum:
-      std::cout << "o " << r.objective << "\n";
+    case MaxSatStatus::Optimum:
       std::cout << "s OPTIMUM FOUND\n";
       std::cout << "v";
       for (Var v = 0; v < problem.numVars; ++v) {
@@ -69,10 +74,10 @@ int main(int argc, char** argv) {
       }
       std::cout << "\n";
       return 0;
-    case PboStatus::Infeasible:
+    case MaxSatStatus::UnsatisfiableHard:
       std::cout << "s UNSATISFIABLE\n";
       return 0;
-    case PboStatus::Unknown:
+    case MaxSatStatus::Unknown:
       std::cout << "s UNKNOWN\n";
       return 1;
   }

@@ -452,12 +452,10 @@ BnbSolver::BnbSolver(BnbOptions options) : opts_(options) {}
 std::string BnbSolver::name() const { return "maxsatz-like"; }
 
 MaxSatResult BnbSolver::solve(const WcnfFormula& input) {
-  MaxSatResult result;
   const std::optional<WcnfFormula> reduced = input.unweighted();
-  if (!reduced) return result;
+  if (!reduced) return tooHeavyToDuplicate(input);
   BnbEngine engine(*reduced, opts_);
-  result = engine.run();
-  return result;
+  return engine.run();
 }
 
 }  // namespace msu

@@ -15,7 +15,7 @@ std::string BinarySearchSolver::name() const {
 MaxSatResult BinarySearchSolver::solve(const WcnfFormula& input) {
   MaxSatResult result;
   const std::optional<WcnfFormula> reduced = input.unweighted();
-  if (!reduced) return result;
+  if (!reduced) return tooHeavyToDuplicate(input);
   const WcnfFormula& formula = *reduced;
   const Weight m = formula.numSoft();
 

@@ -14,4 +14,10 @@ const char* toString(MaxSatStatus st) {
   return "?";
 }
 
+MaxSatResult tooHeavyToDuplicate(const WcnfFormula& input) {
+  MaxSatResult result;
+  result.upperBound = input.totalSoftWeight();
+  return result;
+}
+
 }  // namespace msu

@@ -1,8 +1,10 @@
 /// \file maxsat.h
 /// \brief Public MaxSAT solver interface shared by every engine in the
-///        library: the core-guided family (msu1/msu3/msu4), the
-///        SAT-based linear/binary searches, the PBO baseline and the
-///        branch-and-bound baseline.
+///        library: the core-guided family (msu1/msu3/msu4, wmsu1, oll,
+///        bmo), the SAT–UNSAT linear search behind `linear`, `wlinear`
+///        and the paper's PBO baseline `pbo` (core/wlinear.h), binary
+///        search, the branch-and-bound baseline `maxsatz`, and the
+///        parallel portfolio and cube-and-conquer runners.
 ///
 /// ## The oracle-session model
 ///
@@ -114,9 +116,10 @@ struct MaxSatOptions {
   /// unsatisfiable cores" — this is the standard countermeasure.
   int trimCoreRounds = 0;
 
-  /// Tighten the SAT-iteration bound with the model's true cost (number
-  /// of soft clauses actually falsified) instead of the raw count of
-  /// blocking variables assigned 1. Always sound; on by default.
+  /// msu4: tighten the SAT-iteration bound with the model's true cost
+  /// (number of soft clauses actually falsified) instead of the raw
+  /// count of blocking variables assigned 1. Always sound; on by
+  /// default.
   bool tightenWithModelCost = true;
 
   /// Underlying CDCL parameters.
@@ -142,6 +145,11 @@ struct MaxSatOptions {
   /// sessions take no clock readings at all.
   obs::MetricsRegistry* metrics = nullptr;
 };
+
+/// The answer of an engine that reduces weights by duplication when
+/// WcnfFormula::unweighted() refuses `input`: Unknown, with the bounds
+/// every instance has, 0 and the total soft weight.
+[[nodiscard]] MaxSatResult tooHeavyToDuplicate(const WcnfFormula& input);
 
 /// Abstract MaxSAT engine.
 class MaxSatSolver {

@@ -14,7 +14,7 @@ std::string Msu1Solver::name() const { return "msu1"; }
 MaxSatResult Msu1Solver::solve(const WcnfFormula& input) {
   MaxSatResult result;
   const std::optional<WcnfFormula> reduced = input.unweighted();
-  if (!reduced) return result;
+  if (!reduced) return tooHeavyToDuplicate(input);
   const WcnfFormula& formula = *reduced;
   const Weight m = formula.numSoft();
   const int numOriginalVars = formula.numVars();

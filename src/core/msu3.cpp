@@ -14,7 +14,7 @@ std::string Msu3Solver::name() const {
 MaxSatResult Msu3Solver::solve(const WcnfFormula& input) {
   MaxSatResult result;
   const std::optional<WcnfFormula> reduced = input.unweighted();
-  if (!reduced) return result;
+  if (!reduced) return tooHeavyToDuplicate(input);
   const WcnfFormula& formula = *reduced;
   const Weight m = formula.numSoft();
 

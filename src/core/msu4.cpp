@@ -34,7 +34,7 @@ std::string Msu4Solver::name() const {
 MaxSatResult Msu4Solver::solve(const WcnfFormula& input) {
   MaxSatResult result;
   const std::optional<WcnfFormula> reduced = input.unweighted();
-  if (!reduced) return result;  // weights too large to duplicate: Unknown
+  if (!reduced) return tooHeavyToDuplicate(input);
   const WcnfFormula& formula = *reduced;
   const Weight m = formula.numSoft();
 

@@ -106,13 +106,18 @@ class OracleSession {
   }
 
   /// Loads the hard clauses of `f` (creating its variables first).
-  /// Runs under a bulk-load scope (Options::bulk_load, default on):
-  /// watch construction is deferred to one counting pass over the
-  /// whole batch instead of per-clause incremental growth.
   void addHards(const WcnfFormula& f) {
     ensureVars(f.numVars());
+    addClauses(f.hard());
+  }
+
+  /// Loads `clauses`, whose variables must exist already. Runs under a
+  /// bulk-load scope (Options::bulk_load, default on): watch
+  /// construction is deferred to one counting pass over the whole
+  /// batch instead of per-clause incremental growth.
+  void addClauses(std::span<const Clause> clauses) {
     const Solver::BulkLoadGuard bulk(sat_, sat_.options().bulk_load);
-    for (const Clause& c : f.hard()) {
+    for (const Clause& c : clauses) {
       static_cast<void>(sat_.addClause(c));
     }
   }

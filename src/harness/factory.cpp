@@ -5,7 +5,6 @@
 #include "bnb/bnb_solver.h"
 #include "core/binary_search.h"
 #include "core/bmo.h"
-#include "core/linear_search.h"
 #include "core/msu1.h"
 #include "core/msu3.h"
 #include "core/msu4.h"
@@ -14,7 +13,6 @@
 #include "core/wmsu1.h"
 #include "par/cube.h"
 #include "par/portfolio.h"
-#include "pbo/maxsat_pbo.h"
 
 namespace msu {
 
@@ -64,23 +62,18 @@ std::unique_ptr<MaxSatSolver> makeSolver(const std::string& name,
   if (name == "bmo") {
     return std::make_unique<BmoSolver>(o);
   }
-  if (name == "linear") {
-    return std::make_unique<LinearSearchSolver>(o);
+  if (name == "linear" || name == "wlinear") {
+    return std::make_unique<WeightedLinearSolver>(o);
   }
-  if (name == "wlinear" || name == "wlinear-adder") {
-    const PbEncoding pe =
-        name == "wlinear" ? PbEncoding::Bdd : PbEncoding::Adder;
-    return std::make_unique<WeightedLinearSolver>(o, pe);
+  if (name == "wlinear-adder") {
+    return std::make_unique<WeightedLinearSolver>(o, PbEncoding::Adder);
   }
   if (name == "binary") {
     return std::make_unique<BinarySearchSolver>(o);
   }
   if (name == "pbo" || name == "pbo-adder") {
-    PboMaxSatOptions po;
-    po.budget = options.budget;
-    po.sat = options.sat;
-    po.encoding = name == "pbo" ? PbEncoding::Bdd : PbEncoding::Adder;
-    return std::make_unique<PboMaxSatSolver>(po);
+    const PbEncoding pe = name == "pbo" ? PbEncoding::Bdd : PbEncoding::Adder;
+    return std::make_unique<WeightedLinearSolver>(o, pe, BoundEncoding::Pb);
   }
   if (name == "maxsatz") {
     BnbOptions bo;

@@ -23,6 +23,9 @@ namespace msu {
 /// "linear", "binary", "pbo", "pbo-adder", "maxsatz", plus the parallel
 /// portfolio as "portfolio" (default thread count) or "portfolioN"
 /// (e.g. "portfolio4": N racing workers with clause sharing).
+/// "linear"/"wlinear", "wlinear-adder", "pbo" and "pbo-adder" are the
+/// one SAT–UNSAT linear search (core/wlinear.h): the default bound
+/// encoding with BDD or adder PB bounds, then the all-PB `pbo` one.
 /// `options.budget` applies to every engine; the cardinality-encoding
 /// option is overridden by names that pin one (msu4-v1/v2/seq/tot).
 [[nodiscard]] std::unique_ptr<MaxSatSolver> makeSolver(

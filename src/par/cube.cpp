@@ -12,7 +12,6 @@
 
 #include "core/oracle_session.h"
 #include "core/wlinear.h"
-#include "encodings/cardinality.h"
 #include "obs/trace.h"
 #include "par/clause_pool.h"
 #include "par/worksteal.h"
@@ -335,6 +334,7 @@ MaxSatResult CubeSolver::solve(const WcnfFormula& formula) {
   const int numCubes = static_cast<int>(sr.cubes.size());
   const int n = std::max(1, std::min(opts_.threads, numCubes));
   SharedState shared;
+  const PboProblem problem = toPbo(formula);
 
   // DFS-ordered cubes are dealt to workers in contiguous blocks, pushed
   // in reverse so the owner's LIFO pop walks its block in ascending DFS
@@ -376,42 +376,19 @@ MaxSatResult CubeSolver::solve(const WcnfFormula& formula) {
       wopts.sat.share_max_lbd = opts_.shareMaxLbd;
       wopts.sat.share_num_vars = formula.numVars();
     }
+    // The wlinear engine's encoding: blocking variables above the
+    // original-variable prefix (so clause sharing stays sound) and one
+    // ObjectiveBound, shared across this worker's cubes (the bound
+    // `cost <= encodedUb - 1` is cube-independent).
     OracleSession session(wopts);
-    session.addHards(formula);
-
-    // Blocking variable per soft clause (the wlinear/PBO formulation).
-    // These live above the original-variable prefix, so clause sharing
-    // stays sound.
-    std::vector<PbTerm> terms;
-    terms.reserve(static_cast<std::size_t>(formula.numSoft()));
-    for (const SoftClause& sc : formula.soft()) {
-      const Lit b = posLit(session.sat().newVar());
-      Clause withB = sc.lits;
-      withB.push_back(b);
-      static_cast<void>(session.sat().addClause(withB));
-      terms.push_back({b, sc.weight});
-    }
-    const bool unweighted = formula.isUnweighted();
-
-    // The scope-retired bound constraint `cost <= encoded_bound_ub - 1`,
-    // shared across this worker's cubes (it is cube-independent).
-    ScopeHandle boundScope;
+    loadPbo(session, problem, opts_.pb);
+    ObjectiveBound bound(problem.objective, wopts, opts_.pb,
+                         BoundEncoding::Mixed);
     Weight encodedUb = kNoBound;
     auto syncBound = [&] {
       const Weight ub = shared.best_cost.load(std::memory_order_acquire);
       if (ub >= encodedUb || ub > total || ub < 1) return;
-      if (boundScope.defined()) session.retire(boundScope);
-      boundScope = session.beginScope();
-      if (unweighted) {
-        std::vector<Lit> lits;
-        lits.reserve(terms.size());
-        for (const PbTerm& t : terms) lits.push_back(t.lit);
-        encodeAtMost(session.sink(), lits, static_cast<int>(ub) - 1,
-                     wopts.encoding);
-      } else {
-        encodePbLeq(session.sink(), terms, ub - 1, opts_.pb);
-      }
-      session.endScope(boundScope);
+      bound.tighten(session, ub);
       encodedUb = ub;
     };
 
@@ -448,7 +425,7 @@ MaxSatResult CubeSolver::solve(const WcnfFormula& formula) {
         if (shared.stop.load(std::memory_order_acquire)) goto done;
         syncBound();
         ++out.iterations;
-        const bool bounded = boundScope.defined();
+        const bool bounded = encodedUb != kNoBound;
         const lbool st = session.solve(cube);
         if (st == lbool::Undef) {
           out.unknown = true;

@@ -26,10 +26,11 @@
 /// unsatisfiable. Otherwise, once every cube is pruned or exhausted,
 /// the incumbent is the optimum.
 ///
-/// Each worker runs the wlinear engine pattern on one persistent
-/// OracleSession — blocking variable per soft clause, scope-retired
-/// `cost <= UB-1` constraint re-encoded as the incumbent improves —
-/// and passes its current cube as extra assumptions. Sibling cubes
+/// Each worker runs the wlinear engine's encoding on one persistent
+/// OracleSession — toPbo()'s blocking variable per soft clause, loaded
+/// by loadPbo(), and an ObjectiveBound asserting `cost <= UB-1` as the
+/// incumbent improves (core/wlinear.h) — and passes its current cube as
+/// extra assumptions. Sibling cubes
 /// share long assumption prefixes, which the PR 5 warm-start contract
 /// (reuse_trail) turns into nearly-free re-solves; the LIFO/FIFO split
 /// of the work-stealing deque (par/worksteal.h) is chosen to maximise

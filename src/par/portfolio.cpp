@@ -63,12 +63,12 @@ bool PortfolioSolver::engineSharesSafely(const std::string& name) {
   // Engines that load the instance's hard clauses verbatim and keep
   // every restriction scope-guarded or above the original-variable
   // prefix (see par/clause_pool.h). Excluded: "bmo" (solves derived
-  // per-stratum instances whose hard clauses embed frozen bounds),
-  // "pbo"/"pbo-adder" (assert objective bounds as raw hard clauses) and
+  // per-stratum instances whose hard clauses embed frozen bounds) and
   // "maxsatz" (no CDCL oracle to wire up).
   return name.rfind("msu4", 0) == 0 || name == "msu3" || name == "msu1" ||
          name == "wmsu1" || name == "oll" || name == "linear" ||
-         name == "binary" || name.rfind("wlinear", 0) == 0;
+         name == "binary" || name.rfind("wlinear", 0) == 0 ||
+         name.rfind("pbo", 0) == 0;
 }
 
 std::string PortfolioSolver::name() const {

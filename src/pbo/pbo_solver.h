@@ -1,19 +1,15 @@
 /// \file pbo_solver.h
-/// \brief Pseudo-Boolean Optimization via SAT, in the style of minisat+
-///        (Eén & Sörensson): encode PB constraints to CNF, then perform
-///        model-improving linear search on the objective by repeatedly
-///        asserting `objective <= best - 1`.
+/// \brief The pseudo-Boolean optimization problem: what the OPB reader
+///        produces and what toPbo() turns a MaxSAT instance into. The
+///        engine that solves it is the SAT–UNSAT linear search in
+///        core/wlinear.h (WeightedLinearSolver::solvePbo).
 
 #pragma once
 
 #include <vector>
 
 #include "cnf/formula.h"
-#include "cnf/wcnf.h"
 #include "encodings/pb.h"
-#include "sat/budget.h"
-#include "sat/solver.h"
-#include "sat/stats.h"
 
 namespace msu {
 
@@ -34,37 +30,6 @@ struct PboProblem {
   /// Constant added to the reported objective (used by the OPB reader
   /// to normalize negative coefficients: `-c*x == -c + c*(~x)`).
   Weight objectiveOffset = 0;
-};
-
-/// Outcome of a PBO solve.
-enum class PboStatus { Optimum, Infeasible, Unknown };
-
-/// Result of a PBO solve.
-struct PboResult {
-  PboStatus status = PboStatus::Unknown;
-  Weight objective = 0;  ///< optimum value when status == Optimum
-  Weight upperBound = 0;  ///< best model value seen (valid unless Infeasible)
-  Assignment model;       ///< over the problem's original variables
-  std::int64_t iterations = 0;
-  SolverStats satStats;
-};
-
-/// Options for the PBO engine.
-struct PboOptions {
-  Budget budget;
-  PbEncoding encoding = PbEncoding::Bdd;
-  Solver::Options sat;
-};
-
-/// The PBO engine.
-class PboSolver {
- public:
-  explicit PboSolver(PboOptions options = {});
-
-  [[nodiscard]] PboResult solve(const PboProblem& problem);
-
- private:
-  PboOptions opts_;
 };
 
 }  // namespace msu

@@ -1,6 +1,6 @@
 /// Tests for the experiment harness: suite construction, the run matrix,
-/// aborted accounting, scatter pairing, and the PBO engine used by the
-/// "pbo" table column.
+/// aborted accounting, scatter pairing, and the PBO entry point of the
+/// linear search behind the "pbo" table column.
 
 #include <gtest/gtest.h>
 
@@ -8,12 +8,11 @@
 
 #include "cnf/oracle.h"
 #include "gen/random_cnf.h"
+#include "core/wlinear.h"
 #include "harness/factory.h"
 #include "harness/runner.h"
 #include "harness/suite.h"
 #include "harness/tables.h"
-#include "pbo/maxsat_pbo.h"
-#include "pbo/pbo_solver.h"
 
 namespace msu {
 namespace {
@@ -140,12 +139,25 @@ TEST(Tables, AbortedTableFormat) {
 
 // ---- PBO engine ----------------------------------------------------------
 
+/// The PBO entry point in the `pbo` bound encoding, once per PB encoding.
+class PboSolve : public ::testing::TestWithParam<PbEncoding> {
+ protected:
+  MaxSatResult solve(const PboProblem& p) {
+    WeightedLinearSolver solver({}, GetParam(), BoundEncoding::Pb);
+    return solver.solvePbo(p);
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(BothEncodings, PboSolve,
+                         ::testing::Values(PbEncoding::Bdd,
+                                           PbEncoding::Adder));
+
 TEST(Pbo, TranslationShape) {
   WcnfFormula w(2);
   w.addHard({posLit(0)});
   w.addSoft({posLit(1)}, 2);
   w.addSoft({negLit(1)}, 1);
-  const PboProblem p = PboMaxSatSolver::toPbo(w);
+  const PboProblem p = toPbo(w);
   EXPECT_EQ(p.numVars, 4);  // 2 original + 2 blocking
   ASSERT_EQ(p.clauses.size(), 3u);
   EXPECT_EQ(p.clauses[0].size(), 1u);   // hard unchanged
@@ -155,30 +167,28 @@ TEST(Pbo, TranslationShape) {
   EXPECT_EQ(p.objective[1].coeff, 1);
 }
 
-TEST(Pbo, SolvesWeightedObjective) {
+TEST_P(PboSolve, SolvesWeightedObjective) {
   // minimize 2*b0 + b1 subject to (b0 | b1).
   PboProblem p;
   p.numVars = 2;
   p.clauses.push_back(Clause{posLit(0), posLit(1)});
   p.objective = {PbTerm{posLit(0), 2}, PbTerm{posLit(1), 1}};
-  PboSolver solver;
-  const PboResult r = solver.solve(p);
-  ASSERT_EQ(r.status, PboStatus::Optimum);
-  EXPECT_EQ(r.objective, 1);
+  const MaxSatResult r = solve(p);
+  ASSERT_EQ(r.status, MaxSatStatus::Optimum);
+  EXPECT_EQ(r.cost, 1);
   EXPECT_EQ(r.model[1], lbool::True);
 }
 
-TEST(Pbo, InfeasibleDetected) {
+TEST_P(PboSolve, InfeasibleDetected) {
   PboProblem p;
   p.numVars = 1;
   p.clauses.push_back(Clause{posLit(0)});
   p.clauses.push_back(Clause{negLit(0)});
   p.objective = {PbTerm{posLit(0), 1}};
-  PboSolver solver;
-  EXPECT_EQ(solver.solve(p).status, PboStatus::Infeasible);
+  EXPECT_EQ(solve(p).status, MaxSatStatus::UnsatisfiableHard);
 }
 
-TEST(Pbo, RespectsPbConstraints) {
+TEST_P(PboSolve, RespectsPbConstraints) {
   // minimize b0 subject to b0 + b1 + b2 >= 2 encoded as
   // (-1)*... : use sum(~b) <= 1  ==  sum(b) >= 2.
   PboProblem p;
@@ -190,10 +200,9 @@ TEST(Pbo, RespectsPbConstraints) {
   p.constraints.push_back(pc);
   p.objective = {PbTerm{posLit(0), 1}, PbTerm{posLit(1), 1},
                  PbTerm{posLit(2), 1}};
-  PboSolver solver;
-  const PboResult r = solver.solve(p);
-  ASSERT_EQ(r.status, PboStatus::Optimum);
-  EXPECT_EQ(r.objective, 2);
+  const MaxSatResult r = solve(p);
+  ASSERT_EQ(r.status, MaxSatStatus::Optimum);
+  EXPECT_EQ(r.cost, 2);
 }
 
 TEST(Pbo, AdderEncodingAgrees) {
@@ -201,10 +210,7 @@ TEST(Pbo, AdderEncodingAgrees) {
     const WcnfFormula w = WcnfFormula::allSoft(randomKSat(
         {.numVars = 8, .numClauses = 40, .clauseLen = 3, .seed = seed * 5}));
     const OracleResult truth = oracleMaxSat(w);
-    PboMaxSatOptions o;
-    o.encoding = PbEncoding::Adder;
-    PboMaxSatSolver solver(o);
-    const MaxSatResult r = solver.solve(w);
+    const MaxSatResult r = makeSolver("pbo-adder")->solve(w);
     ASSERT_EQ(r.status, MaxSatStatus::Optimum);
     EXPECT_EQ(r.cost, *truth.optimumCost) << "seed " << seed;
   }

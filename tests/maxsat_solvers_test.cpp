@@ -5,12 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <random>
 
 #include "cnf/oracle.h"
 #include "core/binary_search.h"
-#include "core/linear_search.h"
 #include "core/msu1.h"
 #include "core/msu3.h"
 #include "core/msu4.h"
@@ -265,6 +265,38 @@ TEST(Msu4, BoundsConvergeMonotonically) {
   ASSERT_EQ(r.status, MaxSatStatus::Optimum);
   EXPECT_GE(r.coresFound, 1);
   EXPECT_GE(r.iterations, r.coresFound);
+}
+
+TEST(Pbo, ReportsBoundsAndRetiresScopes) {
+  // `pbo` runs on the oracle session: every improving model reaches
+  // onBounds, and each tightening retires the previous bound's scope.
+  const WcnfFormula w = randomPlain(10, 55, 7);
+  const OracleResult truth = oracleMaxSat(w);
+  ASSERT_TRUE(truth.optimumCost.has_value());
+  std::vector<Weight> uppers;
+  MaxSatOptions o;
+  o.onBounds = [&](Weight, Weight upper) { uppers.push_back(upper); };
+  const MaxSatResult r = makeSolver("pbo", o)->solve(w);
+  ASSERT_EQ(r.status, MaxSatStatus::Optimum);
+  EXPECT_GE(r.iterations, 3);
+  ASSERT_FALSE(uppers.empty());
+  EXPECT_TRUE(std::is_sorted(uppers.rbegin(), uppers.rend()));
+  EXPECT_EQ(uppers.back(), *truth.optimumCost);
+  EXPECT_GT(r.satStats.retired_scopes, 0);
+}
+
+TEST(Factory, BoundsStaySoundPastTheWeightDuplicationCap) {
+  // Total soft weight above what unweighted() duplicates: engines that
+  // reduce by duplication give up, but their bounds must still bracket
+  // the optimum, 3.
+  WcnfFormula w(1);
+  w.addSoft({posLit(0)}, 2'000'000);
+  w.addSoft({negLit(0)}, 3);
+  for (const std::string& name : solverNames()) {
+    const MaxSatResult r = makeSolver(name)->solve(w);
+    EXPECT_LE(r.lowerBound, 3) << name;
+    EXPECT_GE(r.upperBound, 3) << name;
+  }
 }
 
 TEST(Factory, KnowsAllNamesAndRejectsUnknown) {

@@ -12,8 +12,8 @@
 #include <random>
 #include <sstream>
 
+#include "core/wlinear.h"
 #include "pbo/opb.h"
-#include "pbo/pbo_solver.h"
 
 namespace msu {
 namespace {
@@ -90,69 +90,78 @@ TEST(OpbParseTest, MalformedInputsThrow) {
   EXPECT_NO_THROW(parseOpb(""));                           // empty is fine
 }
 
-TEST(OpbSolveTest, KnapsackOptimum) {
+/// The PBO entry point in the `pbo` bound encoding, once per PB encoding.
+class OpbSolveTest : public ::testing::TestWithParam<PbEncoding> {
+ protected:
+  MaxSatResult solve(const PboProblem& p) {
+    WeightedLinearSolver solver({}, GetParam(), BoundEncoding::Pb);
+    return solver.solvePbo(p);
+  }
+};
+
+using OpbRoundTripTest = OpbSolveTest;
+
+INSTANTIATE_TEST_SUITE_P(BothEncodings, OpbSolveTest,
+                         ::testing::Values(PbEncoding::Bdd,
+                                           PbEncoding::Adder));
+INSTANTIATE_TEST_SUITE_P(BothEncodings, OpbRoundTripTest,
+                         ::testing::Values(PbEncoding::Bdd,
+                                           PbEncoding::Adder));
+
+TEST_P(OpbSolveTest, KnapsackOptimum) {
   // max 4a+5b+3c+7d s.t. 3a+4b+2c+5d <= 8  == min forgone value.
   const PboProblem p = parseOpb(
       "min: +4 ~x1 +5 ~x2 +3 ~x3 +7 ~x4 ;\n"
       "+3 x1 +4 x2 +2 x3 +5 x4 <= 8 ;\n");
-  PboSolver solver;
-  const PboResult r = solver.solve(p);
-  ASSERT_EQ(r.status, PboStatus::Optimum);
+  const MaxSatResult r = solve(p);
+  ASSERT_EQ(r.status, MaxSatStatus::Optimum);
   const BruteForce ref = bruteForce(p);
   ASSERT_TRUE(ref.feasible);
-  EXPECT_EQ(r.objective, ref.best);
+  EXPECT_EQ(r.cost, ref.best);
   // Best packing: c+d+... weight 2+5=7 value 10; or a+d weight 8 value 11.
-  EXPECT_EQ(r.objective, 19 - 11);
+  EXPECT_EQ(r.cost, 19 - 11);
 }
 
-TEST(OpbSolveTest, InfeasibleDetected) {
+TEST_P(OpbSolveTest, InfeasibleDetected) {
   const PboProblem p = parseOpb(
       "min: +1 x1 ;\n"
       "+1 x1 >= 1 ;\n"
       "+1 x1 <= 0 ;\n");
-  PboSolver solver;
-  EXPECT_EQ(solver.solve(p).status, PboStatus::Infeasible);
+  EXPECT_EQ(solve(p).status, MaxSatStatus::UnsatisfiableHard);
 }
 
-TEST(OpbSolveTest, EqualityConstraintsRespected) {
+TEST_P(OpbSolveTest, EqualityConstraintsRespected) {
   // Exactly 2 of 4 must be chosen; minimize a weighted selection.
   const PboProblem p = parseOpb(
       "min: +5 x1 +1 x2 +3 x3 +2 x4 ;\n"
       "+1 x1 +1 x2 +1 x3 +1 x4 = 2 ;\n");
-  PboSolver solver;
-  const PboResult r = solver.solve(p);
-  ASSERT_EQ(r.status, PboStatus::Optimum);
-  EXPECT_EQ(r.objective, 3);  // x2 + x4
+  const MaxSatResult r = solve(p);
+  ASSERT_EQ(r.status, MaxSatStatus::Optimum);
+  EXPECT_EQ(r.cost, 3);  // x2 + x4
 }
 
-TEST(OpbSolveTest, NegativeCoefficientConstraints) {
-  for (auto enc : {PbEncoding::Bdd, PbEncoding::Adder}) {
-    const PboProblem p = parseOpb(
-        "min: +1 x1 +1 x2 +1 x3 ;\n"
-        "-2 x1 +3 x2 -1 x3 <= 0 ;\n"
-        "+1 x2 >= 1 ;\n");
-    PboOptions opts;
-    opts.encoding = enc;
-    PboSolver solver(opts);
-    const PboResult r = solver.solve(p);
-    ASSERT_EQ(r.status, PboStatus::Optimum);
-    const BruteForce ref = bruteForce(p);
-    ASSERT_TRUE(ref.feasible);
-    EXPECT_EQ(r.objective, ref.best) << toString(enc);
-  }
+TEST_P(OpbSolveTest, NegativeCoefficientConstraints) {
+  const PboProblem p = parseOpb(
+      "min: +1 x1 +1 x2 +1 x3 ;\n"
+      "-2 x1 +3 x2 -1 x3 <= 0 ;\n"
+      "+1 x2 >= 1 ;\n");
+  const MaxSatResult r = solve(p);
+  ASSERT_EQ(r.status, MaxSatStatus::Optimum);
+  const BruteForce ref = bruteForce(p);
+  ASSERT_TRUE(ref.feasible);
+  EXPECT_EQ(r.cost, ref.best);
 }
 
-TEST(OpbSolveTest, OffsetIsReportedInTheObjective) {
+TEST_P(OpbSolveTest, OffsetIsReportedInTheObjective) {
   const PboProblem p = parseOpb(
       "min: -2 x1 ;\n"
       "+1 x1 <= 1 ;\n");
-  PboSolver solver;
-  const PboResult r = solver.solve(p);
-  ASSERT_EQ(r.status, PboStatus::Optimum);
-  EXPECT_EQ(r.objective, -2);  // pick x1
+  const MaxSatResult r = solve(p);
+  ASSERT_EQ(r.status, MaxSatStatus::Optimum);
+  EXPECT_EQ(r.cost, -2);  // pick x1
 }
 
-TEST(OpbRoundTripTest, WriteThenParsePreservesTheOptimum) {
+TEST_P(OpbRoundTripTest, WriteThenParsePreservesTheOptimum) {
   const PboProblem original = parseOpb(
       "min: +2 x1 +3 x2 +1 x3 ;\n"
       "+1 x1 +1 x2 +1 x3 >= 2 ;\n"
@@ -160,15 +169,14 @@ TEST(OpbRoundTripTest, WriteThenParsePreservesTheOptimum) {
   std::ostringstream out;
   writeOpb(out, original);
   const PboProblem reparsed = parseOpb(out.str());
-  PboSolver solver;
-  const PboResult a = solver.solve(original);
-  const PboResult b = solver.solve(reparsed);
-  ASSERT_EQ(a.status, PboStatus::Optimum);
-  ASSERT_EQ(b.status, PboStatus::Optimum);
-  EXPECT_EQ(a.objective, b.objective);
+  const MaxSatResult a = solve(original);
+  const MaxSatResult b = solve(reparsed);
+  ASSERT_EQ(a.status, MaxSatStatus::Optimum);
+  ASSERT_EQ(b.status, MaxSatStatus::Optimum);
+  EXPECT_EQ(a.cost, b.cost);
 }
 
-TEST(OpbRoundTripTest, RandomInstancesAgreeWithBruteForce) {
+TEST_P(OpbRoundTripTest, RandomInstancesAgreeWithBruteForce) {
   std::mt19937_64 rng(4);
   for (int round = 0; round < 10; ++round) {
     std::ostringstream opb;
@@ -184,14 +192,14 @@ TEST(OpbRoundTripTest, RandomInstancesAgreeWithBruteForce) {
           << 1 + rng() % 3 << " ;\n";
     }
     const PboProblem p = parseOpb(opb.str());
-    PboSolver solver;
-    const PboResult r = solver.solve(p);
+    const MaxSatResult r = solve(p);
     const BruteForce ref = bruteForce(p);
     if (!ref.feasible) {
-      EXPECT_EQ(r.status, PboStatus::Infeasible) << "round " << round;
+      EXPECT_EQ(r.status, MaxSatStatus::UnsatisfiableHard)
+          << "round " << round;
     } else {
-      ASSERT_EQ(r.status, PboStatus::Optimum) << "round " << round;
-      EXPECT_EQ(r.objective, ref.best) << "round " << round;
+      ASSERT_EQ(r.status, MaxSatStatus::Optimum) << "round " << round;
+      EXPECT_EQ(r.cost, ref.best) << "round " << round;
     }
   }
 }

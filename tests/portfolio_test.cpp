@@ -335,8 +335,8 @@ TEST(Portfolio, SharingMovesClausesUnderContention) {
   for (const Clause& c : php.clauses()) w.addHard(c);
   w.addSoft({posLit(0)}, 1);
   PortfolioOptions po;
-  po.threads = 3;
-  po.engines = {"msu4-v2", "msu3", "linear"};  // all sharing-safe
+  po.threads = 4;
+  po.engines = {"msu4-v2", "msu3", "linear", "pbo"};  // all sharing-safe
   PortfolioSolver portfolio(po);
   const MaxSatResult r = portfolio.solve(w);
   EXPECT_EQ(r.status, MaxSatStatus::UnsatisfiableHard);
