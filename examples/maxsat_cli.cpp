@@ -40,6 +40,11 @@
 ///                       trace_event JSON — open FILE in Perfetto
 ///                       (ui.perfetto.dev) or chrome://tracing; see
 ///                       bench/README.md "Reading a trace"
+///     --preprocess      MaxSAT-safe preprocessing before solving: hard
+///                       unit propagation, tautology and duplicate
+///                       removal, duplicate-soft merging
+///                       (preprocessWcnf); costs, bounds and the model
+///                       are reported on the original instance
 ///     --no-model        suppress the v line
 ///     --list            list available engines
 
@@ -163,20 +168,18 @@ int main(int argc, char** argv) {
   std::cout << "c " << instance.summary() << "\n";
 
   // Optional MaxSAT-safe preprocessing (hard UP, dedup, merge).
-  Weight forcedCost = 0;
-  Assignment forced;
+  PreprocessResult pre;
   if (preprocess) {
-    PreprocessResult pre = preprocessWcnf(instance);
+    pre = preprocessWcnf(instance);
     if (!pre.simplified) {
       std::cout << "c preprocessing refuted the hard clauses\n";
       std::cout << "s UNSATISFIABLE\n";
       return 0;
     }
-    forcedCost = pre.forcedCost;
-    forced = std::move(pre.forced);
     instance = std::move(*pre.simplified);
     std::cout << "c preprocessed: " << instance.summary() << ", fixed "
-              << pre.fixedVars << " vars, forced cost " << forcedCost << "\n";
+              << pre.fixedVars << " vars, forced cost " << pre.forcedCost
+              << "\n";
   }
 
   MaxSatOptions opts;
@@ -252,17 +255,12 @@ int main(int argc, char** argv) {
               << cubeSolver->lastSteals() << "\n";
   }
 
-  // Splice hard-forced values back into the model after preprocessing.
-  if (preprocess && result.status == MaxSatStatus::Optimum) {
-    for (std::size_t v = 0; v < result.model.size() && v < forced.size();
-         ++v) {
-      if (forced[v] != lbool::Undef) result.model[v] = forced[v];
-    }
-  }
+  // Report on the original instance: forced cost and forced values.
+  if (preprocess) liftResult(pre, result);
 
   switch (result.status) {
     case MaxSatStatus::Optimum:
-      std::cout << "o " << result.cost + forcedCost << "\n";
+      std::cout << "o " << result.cost << "\n";
       std::cout << "s OPTIMUM FOUND\n";
       if (printModel) {
         std::cout << "v";

@@ -1,5 +1,6 @@
 #include "core/preprocess.h"
 
+#include <algorithm>
 #include <map>
 
 #include "sat/solver.h"
@@ -92,6 +93,74 @@ PreprocessResult preprocessWcnf(const WcnfFormula& formula) {
   for (const SoftClause& s : softOut) simplified.addSoft(s.lits, s.weight);
 
   result.simplified = std::move(simplified);
+  return result;
+}
+
+void liftResult(const PreprocessResult& pre, MaxSatResult& result) {
+  result.cost += pre.forcedCost;
+  result.lowerBound += pre.forcedCost;
+  result.upperBound += pre.forcedCost;
+  if (result.status != MaxSatStatus::Optimum) return;
+  const std::size_t n = std::min(result.model.size(), pre.forced.size());
+  for (std::size_t v = 0; v < n; ++v) {
+    if (pre.forced[v] != lbool::Undef) result.model[v] = pre.forced[v];
+  }
+}
+
+Assignment SimplifyResult::extend(Assignment model) const {
+  const auto n = static_cast<std::size_t>(simplified ? simplified->numVars()
+                                                     : 0);
+  if (model.size() < n) model.resize(n, lbool::False);
+  for (lbool& v : model) {
+    if (v == lbool::Undef) v = lbool::False;
+  }
+  witness.extend(model);
+  return model;
+}
+
+SimplifyResult simplifyHard(const WcnfFormula& formula) {
+  Solver::Options opts;
+  opts.inprocess = true;
+  Solver solver(opts);
+  while (solver.numVars() < formula.numVars()) {
+    static_cast<void>(solver.newVar());
+  }
+  for (const SoftClause& s : formula.soft()) {
+    for (const Lit p : s.lits) solver.setFrozen(p.var(), true);
+  }
+  {
+    Solver::BulkLoadGuard bulk(solver);
+    for (const Clause& h : formula.hard()) {
+      if (!solver.addClause(h)) break;
+    }
+  }
+
+  // Removed (BVE + SCC) plus root-fixed variables only grow, and
+  // between two such gains the clause count must strictly shrink for
+  // another pass to run, so the loop ends on its own.
+  const auto settledVars = [&] {
+    const SolverStats& st = solver.stats();
+    return st.inproc_bve_eliminated + st.inproc_scc_vars +
+           solver.numFixedVars();
+  };
+  while (solver.okay()) {
+    const std::int64_t settled = settledVars();
+    const int clauses = solver.numClauses();
+    if (!solver.inprocessNow()) break;
+    if (settledVars() == settled && solver.numClauses() >= clauses) break;
+  }
+
+  SimplifyResult result;
+  if (!solver.okay()) return result;  // simplified unset
+  WcnfFormula simplified(formula.numVars());
+  for (const std::vector<Lit>& c : solver.irredundantClauses()) {
+    simplified.addHard(c);
+  }
+  for (const SoftClause& s : formula.soft()) {
+    simplified.addSoft(s.lits, s.weight);
+  }
+  result.simplified = std::move(simplified);
+  result.witness = solver.witnessStack();
   return result;
 }
 

@@ -1,16 +1,25 @@
 /// \file preprocess.h
-/// \brief MaxSAT-safe preprocessing of WCNF instances. Only
-///        transformations sound for *both* hard and soft clauses are
-///        applied (classic SAT preprocessing like pure-literal deletion
-///        is unsound on soft clauses):
+/// \brief Preprocessing of WCNF instances, in two flavours that both
+///        keep the variable numbering:
+///
+///        preprocessWcnf applies only transformations sound for *both*
+///        hard and soft clauses (classic SAT preprocessing like
+///        pure-literal deletion is unsound on soft clauses):
 ///        * unit propagation over the hard clauses, applied to all
 ///          clauses (satisfied clauses drop, falsified softs pay their
 ///          weight up front, literals fixed false vanish);
 ///        * tautology removal (hard and soft);
 ///        * duplicate-soft merging (weights add up);
 ///        * duplicate-hard removal.
-///        The variable space is preserved so models transfer directly;
-///        fixed variables are reported for model completion.
+///        Fixed variables are reported for model completion.
+///
+///        simplifyHard is SatELite (Eén & Biere, SAT 2005; shipped with
+///        MiniSat 1.14, the paper's substrate) on the hard clauses only:
+///        the solver's own inprocessing passes — probing, SCC
+///        substitution, subsumption, strengthening and bounded variable
+///        elimination — run to a fixpoint with every soft-clause
+///        variable frozen, and the solver's witness stack completes
+///        models of the result.
 
 #pragma once
 
@@ -18,6 +27,8 @@
 #include <vector>
 
 #include "cnf/wcnf.h"
+#include "core/maxsat.h"
+#include "sat/reconstruct.h"
 
 namespace msu {
 
@@ -47,5 +58,32 @@ struct PreprocessResult {
 /// simplified instance extended with `forced` is a model of the
 /// original with that cost.
 [[nodiscard]] PreprocessResult preprocessWcnf(const WcnfFormula& formula);
+
+/// Lifts an engine result on `pre.simplified` to the original instance:
+/// adds `pre.forcedCost` to the cost and to both bounds and, on
+/// Optimum, splices the hard-forced values into the model.
+void liftResult(const PreprocessResult& pre, MaxSatResult& result);
+
+/// Result of simplifyHard.
+struct SimplifyResult {
+  /// The simplified instance (same variable numbering, soft clauses
+  /// verbatim, root units as unit hard clauses), or unset when the
+  /// hard clauses were refuted.
+  std::optional<WcnfFormula> simplified;
+
+  /// Witness entries of every variable the passes removed.
+  WitnessStack witness;
+
+  /// Extends a model of `simplified` to a model of the original hard
+  /// clauses at the same cost: unassigned variables become false, then
+  /// the witness stack assigns the removed ones.
+  [[nodiscard]] Assignment extend(Assignment model) const;
+};
+
+/// SatELite-style simplification of the hard clauses. Soft-clause
+/// variables are frozen, so opt(original) == opt(simplified), and
+/// extend() turns an optimal model of the simplified instance into an
+/// optimal model of the original.
+[[nodiscard]] SimplifyResult simplifyHard(const WcnfFormula& formula);
 
 }  // namespace msu

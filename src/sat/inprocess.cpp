@@ -1,7 +1,8 @@
 /// \file inprocess.cpp
 /// \brief Scope-aware inprocessing over the solver's live clause
-///        database (Options::inprocess): the in-solver counterpart of
-///        the offline SatELite pass in src/simp/.
+///        database (Options::inprocess). Run eagerly to a fixpoint on
+///        the hard clauses, the same passes are the offline SatELite
+///        preprocessor (simplifyHard in core/preprocess.h).
 ///
 /// The MaxSAT engines drive one incremental oracle through thousands of
 /// solve calls, so the arena accumulates clauses that are satisfied at
@@ -28,7 +29,8 @@
 ///     clause D with C \ {l} ⊆ D (one flipped literal allowed in the
 ///     subset check). Binary clauses participate as subsumers; a learnt
 ///     subsumer of an original clause is first promoted to original so
-///     reduceDB cannot delete the only witness of the constraint.
+///     reduceDB (long learnts) or BVE (learnt binaries) cannot delete
+///     the only witness of the constraint.
 ///  5. *Bounded variable elimination* (elimination.cpp). SatELite-
 ///     style DP resolution of cheap variables, after subsumption so
 ///     the occurrence/resolvent bounds see a deduplicated database.
@@ -458,8 +460,10 @@ bool Solver::inprocSubsume() {
   // ---- Binary subsumers --------------------------------------------------
   // Each binary clause {a, b} scans occ[a] and occ[~a]: any almost-
   // subsumed clause contains a or ~a, so the two lists cover all cases.
-  // Binaries never leave the database outside retirement, so they are
-  // safe witnesses without promotion.
+  // reduceDB never deletes binaries, but BVE deletes the learnt ones
+  // over an eliminated variable: a learnt binary (a hyper-binary
+  // resolvent from probing, say) that subsumes an original clause is
+  // promoted to original first, like a long learnt witness.
   for (int idx = 0; idx < watches_.numLits() && ok_; ++idx) {
     const Lit trigger = Lit::fromIndex(idx);
     const Lit self = ~trigger;
@@ -467,6 +471,7 @@ bool Solver::inprocSubsume() {
     // the binary pool and may relocate this very list.
     for (std::uint32_t b = 0; b < watches_.binList(trigger).size(); ++b) {
       const Lit other = watches_.binList(trigger)[b].implied();
+      bool learntBin = watches_.binList(trigger)[b].learnt();
       if (self.index() >= other.index()) continue;  // canonical direction
       const std::array<Lit, 2> bin{self, other};
       const std::uint64_t sigC = varSignature(bin);
@@ -488,6 +493,18 @@ bool Solver::inprocSubsume() {
         Lit flip = kUndefLit;
         const int rel = subsumeCheck(bin, sigC, arena_[rd.ref], rd.sig, &flip);
         if (rel == 1) {
+          if (learntBin && !rd.learnt) {
+            watches_.binList(trigger)[b] = BinWatch(other, false);
+            for (BinWatch& w : watches_.binList(~other)) {
+              if (w == BinWatch(self, true)) {
+                w = BinWatch(self, false);
+                break;
+              }
+            }
+            --num_bin_learnt_;
+            ++num_bin_orig_;
+            learntBin = false;
+          }
           subsume(nullptr, rd);
         } else if (rel == 2) {
           strengthen(binBirth, rd, flip);

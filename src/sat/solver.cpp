@@ -1725,4 +1725,40 @@ int Solver::numFixedVars() const {
   return trail_lim_.empty() ? trailSize() : trail_lim_[0];
 }
 
+std::vector<std::vector<Lit>> Solver::irredundantClauses() const {
+  const int roots = numFixedVars();
+  std::vector<std::vector<Lit>> out;
+  out.reserve(static_cast<std::size_t>(roots + numClauses()));
+  for (int i = 0; i < roots; ++i) out.push_back({trail_[i]});
+
+  const auto rootValue = [&](Lit p) {
+    return level(p.var()) == 0 ? value(p) : lbool::Undef;
+  };
+  const auto emit = [&](std::span<const Lit> lits) {
+    std::vector<Lit> kept;
+    for (const Lit p : lits) {
+      const lbool v = rootValue(p);
+      if (v == lbool::True) return;
+      if (v == lbool::Undef) kept.push_back(p);
+    }
+    out.push_back(std::move(kept));
+  };
+  // (a ∨ b) sits as BinWatch(b) in binList(~a) and as BinWatch(a) in
+  // binList(~b): emit it from the side whose first literal is smaller.
+  for (int i = 0; i < 2 * numVars(); ++i) {
+    const Lit p = Lit::fromIndex(i);
+    for (const BinWatch bw : watches_.binList(p)) {
+      const Lit q = bw.implied();
+      if (bw.learnt() || q.index() < (~p).index()) continue;
+      const std::array<Lit, 2> bin{~p, q};
+      emit(bin);
+    }
+  }
+  for (const CRef ref : clauses_) {
+    const ClauseRefView c = arena_[ref];
+    if (!c.deleted()) emit(c.lits());
+  }
+  return out;
+}
+
 }  // namespace msu

@@ -620,8 +620,10 @@ class Solver {
 
   /// Runs one inprocessing pass immediately. Must be called outside
   /// search (decision level 0). Returns okay(); ignores the interval
-  /// budget but still honours Options::inprocess == false. Exposed for
-  /// tests and maintenance tooling; solve() triggers passes itself.
+  /// budget but still honours Options::inprocess == false. solve()
+  /// triggers passes itself; simplifyHard (core/preprocess.h) calls
+  /// this to a fixpoint to preprocess the hard clauses eagerly, and
+  /// tests call it directly.
   bool inprocessNow();
 
   // ---- Solving ---------------------------------------------------------
@@ -691,6 +693,20 @@ class Solver {
 
   /// Number of level-0 assigned literals (after simplification).
   [[nodiscard]] int numFixedVars() const;
+
+  /// The live irredundant database as plain clauses: one unit per
+  /// root-level assignment, then every original binary (once, from the
+  /// watch pool) and every live original long clause. Root-satisfied
+  /// clauses are skipped and root-false literals dropped; learnt
+  /// clauses are left out (they are implied). Together with
+  /// witnessStack() this is the formula extracted after eager
+  /// inprocessing (simplifyHard in core/preprocess.h).
+  [[nodiscard]] std::vector<std::vector<Lit>> irredundantClauses() const;
+
+  /// Witness entries of every variable removed by BVE or SCC
+  /// substitution (see reconstruct.h): replaying them extends a model
+  /// of irredundantClauses() to every formula the solver ever held.
+  [[nodiscard]] const WitnessStack& witnessStack() const { return witness_; }
 
   /// Variables currently available for recycling.
   [[nodiscard]] int numFreeVars() const {

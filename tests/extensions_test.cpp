@@ -13,6 +13,7 @@
 #include "core/wmsu1.h"
 #include "gen/random_cnf.h"
 #include "gen/tpg.h"
+#include "harness/factory.h"
 #include "sat/solver.h"
 
 namespace msu {
@@ -169,6 +170,38 @@ TEST(Preprocess, HardUnitsPropagateIntoSofts) {
   EXPECT_EQ(r.forced[0], lbool::True);
   EXPECT_EQ(r.forced[1], lbool::True);
   EXPECT_EQ(r.forced[2], lbool::Undef);
+}
+
+TEST(Preprocess, LiftResultReportsOnTheOriginalInstance) {
+  WcnfFormula w(3);
+  w.addHard({posLit(0)});                // x0 = 1
+  w.addHard({negLit(0), posLit(1)});     // -> x1 = 1
+  w.addSoft({negLit(1)}, 5);             // falsified: forced cost 5
+  w.addSoft({negLit(2)}, 2);
+  w.addSoft({posLit(2), negLit(0)}, 3);  // shrinks to (x2)
+  const PreprocessResult pre = preprocessWcnf(w);
+  ASSERT_TRUE(pre.simplified.has_value());
+  ASSERT_EQ(pre.forcedCost, 5);
+
+  // Unknown: the bounds on the simplified instance move by forcedCost.
+  MaxSatResult unknown;
+  unknown.status = MaxSatStatus::Unknown;
+  unknown.lowerBound = 1;
+  unknown.upperBound = 3;
+  liftResult(pre, unknown);
+  EXPECT_EQ(unknown.lowerBound, 6);
+  EXPECT_EQ(unknown.upperBound, 8);
+
+  // Optimum: cost and model are those of the original instance.
+  MaxSatResult opt = makeSolver("msu4-v2")->solve(*pre.simplified);
+  ASSERT_EQ(opt.status, MaxSatStatus::Optimum);
+  liftResult(pre, opt);
+  EXPECT_EQ(opt.cost, 7);
+  EXPECT_EQ(opt.lowerBound, 7);
+  EXPECT_EQ(opt.upperBound, 7);
+  EXPECT_EQ(opt.model[0], lbool::True);
+  EXPECT_EQ(opt.model[1], lbool::True);
+  EXPECT_EQ(w.cost(opt.model), std::optional<Weight>(7));
 }
 
 TEST(Preprocess, RefutedHardsReported) {

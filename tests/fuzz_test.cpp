@@ -9,13 +9,13 @@
 #include <random>
 
 #include "core/bmo.h"
+#include "core/preprocess.h"
 #include "gen/random_cnf.h"
 #include "harness/factory.h"
 #include "mus/mus.h"
 #include "proof/checker.h"
 #include "proof/drup.h"
 #include "sat/solver.h"
-#include "simp/simp.h"
 
 namespace msu {
 namespace {
@@ -130,8 +130,9 @@ TEST(FuzzSimp, PreprocessSolveReconstructAtScale) {
     const CnfFormula f =
         randomKSat({.numVars = 80, .numClauses = 320, .clauseLen = 3,
                     .seed = seed * 31});
-    Preprocessor pre;
-    const CnfFormula g = pre.run(f);
+    WcnfFormula hard(f.numVars());
+    for (const Clause& c : f.clauses()) hard.addHard(c);
+    const SimplifyResult pre = simplifyHard(hard);
 
     Solver a;
     for (Var v = 0; v < f.numVars(); ++v) static_cast<void>(a.newVar());
@@ -141,24 +142,19 @@ TEST(FuzzSimp, PreprocessSolveReconstructAtScale) {
 
     lbool verdictSimplified = lbool::False;
     Assignment model;
-    if (!pre.provedUnsat()) {
+    if (pre.simplified) {
+      const WcnfFormula& g = *pre.simplified;
       Solver b;
       for (Var v = 0; v < g.numVars(); ++v) static_cast<void>(b.newVar());
       bool okB = true;
-      for (const Clause& c : g.clauses()) okB = okB && b.addClause(c);
+      for (const Clause& c : g.hard()) okB = okB && b.addClause(c);
       verdictSimplified = okB ? b.solve() : lbool::False;
-      if (verdictSimplified == lbool::True) {
-        model.assign(static_cast<std::size_t>(g.numVars()), lbool::Undef);
-        for (Var v = 0; v < g.numVars(); ++v) {
-          model[static_cast<std::size_t>(v)] =
-              b.model()[static_cast<std::size_t>(v)];
-        }
-      }
+      if (verdictSimplified == lbool::True) model = b.model();
     }
     ASSERT_NE(verdictOriginal, lbool::Undef);
     EXPECT_EQ(verdictOriginal, verdictSimplified) << "seed " << seed;
     if (verdictSimplified == lbool::True) {
-      EXPECT_TRUE(f.satisfies(pre.reconstruct(model))) << "seed " << seed;
+      EXPECT_TRUE(f.satisfies(pre.extend(model))) << "seed " << seed;
     }
   }
 }

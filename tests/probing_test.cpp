@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sat/solver.h"
@@ -82,6 +83,34 @@ TEST(Probing, HyperBinaryResolventAttachedOnceAndDeduplicated) {
   ASSERT_TRUE(s.inprocessNow());
   EXPECT_EQ(s.stats().inproc_probe_hbr, 1);  // deduplicated, not re-added
   EXPECT_EQ(s.solve(), lbool::True);
+}
+
+TEST(Probing, HyperBinaryResolventThatSubsumesAnOriginalIsPromoted) {
+  // Probing p reaches u through (~a|~b|u), so (~p|u) is a hyper-binary
+  // resolvent. It subsumes the original (~p|u|z), which is deleted, so
+  // the binary must become irredundant: BVE deletes learnt binaries,
+  // and extraction (irredundantClauses) leaves them out.
+  Solver s(probeOpts());
+  addVars(s, 5);
+  const Lit p = posLit(0);
+  const Lit a = posLit(1);
+  const Lit b = posLit(2);
+  const Lit u = posLit(3);
+  const Lit z = posLit(4);
+  ASSERT_TRUE(s.addClause({~p, a}));
+  ASSERT_TRUE(s.addClause({~p, b}));
+  ASSERT_TRUE(s.addClause({~a, ~b, u}));
+  ASSERT_TRUE(s.addClause({~p, u, z}));
+
+  ASSERT_TRUE(s.inprocessNow());
+  EXPECT_EQ(s.stats().inproc_probe_hbr, 1);
+  EXPECT_EQ(s.stats().inproc_subsumed, 1);
+  EXPECT_EQ(s.numLearnts(), 0);
+  EXPECT_EQ(s.numClauses(), 4);
+  const std::vector<std::vector<Lit>> db = s.irredundantClauses();
+  EXPECT_EQ(db.size(), 4u);
+  EXPECT_NE(std::find(db.begin(), db.end(), std::vector<Lit>{~p, u}),
+            db.end());
 }
 
 TEST(Probing, SccCollapsesAnEquivalenceOntoOneRepresentative) {

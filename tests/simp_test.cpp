@@ -1,56 +1,72 @@
-/// Tests for the SatELite-style preprocessor:
+/// Tests for SatELite-style hard-clause simplification (simplifyHard:
+/// the solver's inprocessing passes run eagerly, then the irredundant
+/// clauses and the witness stack are extracted):
 ///  * equisatisfiability on random formulas (oracle-checked both ways);
-///  * model reconstruction yields genuine models of the original;
-///  * each technique in isolation (subsumption, strengthening, BVE)
-///    does what it advertises on crafted inputs;
-///  * frozen variables survive and keep their meaning;
-///  * MaxSAT hard-clause preprocessing preserves the optimum;
+///  * model extension yields genuine models of the original;
+///  * frozen (soft-clause) variables survive and keep their meaning;
+///  * SCC substitution survives extraction and extends to x == y;
+///  * MaxSAT optimum preservation and weighted model extension;
 ///  * unsat detection and degenerate inputs.
+/// The individual passes are tested on the solver itself in
+/// inprocess_test and elimination_test.
 
 #include <gtest/gtest.h>
 
 #include <random>
 
 #include "cnf/oracle.h"
+#include "core/preprocess.h"
 #include "gen/pigeonhole.h"
 #include "gen/random_cnf.h"
 #include "harness/factory.h"
 #include "sat/solver.h"
-#include "simp/simp.h"
 
 namespace msu {
 namespace {
 
-/// Solves with CDCL; formulas here are small.
-lbool solveCdcl(const CnfFormula& cnf, Assignment* model = nullptr) {
+/// A plain CNF as the hard part of a WCNF with no soft clauses.
+WcnfFormula asHard(const CnfFormula& cnf) {
+  WcnfFormula w(cnf.numVars());
+  for (const Clause& c : cnf.clauses()) w.addHard(c);
+  return w;
+}
+
+/// Solves the hard clauses with CDCL; formulas here are small.
+lbool solveHard(const WcnfFormula& w, Assignment* model = nullptr) {
   Solver solver;
-  for (Var v = 0; v < cnf.numVars(); ++v) static_cast<void>(solver.newVar());
-  for (const Clause& c : cnf.clauses()) {
+  for (Var v = 0; v < w.numVars(); ++v) static_cast<void>(solver.newVar());
+  for (const Clause& c : w.hard()) {
     if (!solver.addClause(c)) return lbool::False;
   }
   const lbool st = solver.solve();
   if (st == lbool::True && model != nullptr) {
-    model->assign(static_cast<std::size_t>(cnf.numVars()), lbool::Undef);
-    for (Var v = 0; v < cnf.numVars(); ++v) {
-      (*model)[static_cast<std::size_t>(v)] =
-          solver.model()[static_cast<std::size_t>(v)];
-    }
+    model->assign(solver.model().begin(),
+                  solver.model().begin() + w.numVars());
   }
   return st;
+}
+
+/// True iff `v` occurs in some hard clause of `w`.
+bool occursInHard(const WcnfFormula& w, Var v) {
+  for (const Clause& c : w.hard()) {
+    for (const Lit p : c) {
+      if (p.var() == v) return true;
+    }
+  }
+  return false;
 }
 
 TEST(SimpTest, EquisatisfiableOnRandomFormulas) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const CnfFormula f = randomKSat(
         {.numVars = 14, .numClauses = 55, .clauseLen = 3, .seed = seed});
-    Preprocessor pre;
-    const CnfFormula g = pre.run(f);
+    const SimplifyResult pre = simplifyHard(asHard(f));
     const bool origSat = oracleSat(f).has_value();
-    if (pre.provedUnsat()) {
+    if (!pre.simplified) {
       EXPECT_FALSE(origSat) << "seed " << seed;
       continue;
     }
-    const lbool simplifiedSat = solveCdcl(g);
+    const lbool simplifiedSat = solveHard(*pre.simplified);
     ASSERT_NE(simplifiedSat, lbool::Undef);
     EXPECT_EQ(simplifiedSat == lbool::True, origSat) << "seed " << seed;
   }
@@ -60,98 +76,86 @@ TEST(SimpTest, ReconstructedModelsSatisfyTheOriginal) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const CnfFormula f = randomKSat(
         {.numVars = 16, .numClauses = 40, .clauseLen = 3, .seed = seed * 17});
-    Preprocessor pre;
-    const CnfFormula g = pre.run(f);
-    if (pre.provedUnsat()) {
+    const SimplifyResult pre = simplifyHard(asHard(f));
+    if (!pre.simplified) {
       EXPECT_FALSE(oracleSat(f).has_value()) << "seed " << seed;
       continue;
     }
     Assignment model;
-    const lbool st = solveCdcl(g, &model);
-    if (st != lbool::True) continue;
-    const Assignment full = pre.reconstruct(model);
-    EXPECT_TRUE(f.satisfies(full)) << "seed " << seed;
+    if (solveHard(*pre.simplified, &model) != lbool::True) continue;
+    EXPECT_TRUE(f.satisfies(pre.extend(model))) << "seed " << seed;
   }
-}
-
-TEST(SimpTest, SubsumedClausesAreRemoved) {
-  CnfFormula f(3);
-  f.addClause({posLit(0), posLit(1)});
-  f.addClause({posLit(0), posLit(1), posLit(2)});  // subsumed
-  f.addClause({negLit(0), posLit(2)});
-  SimpOptions opts;
-  opts.strengthen = false;
-  opts.eliminate = false;
-  Preprocessor pre(opts);
-  const CnfFormula g = pre.run(f);
-  EXPECT_EQ(pre.stats().subsumed, 1);
-  EXPECT_EQ(g.numClauses(), 2);
-}
-
-TEST(SimpTest, SelfSubsumingResolutionStrengthens) {
-  // (a ∨ b) and (a ∨ ¬b ∨ c) -> second becomes (a ∨ c).
-  CnfFormula f(3);
-  f.addClause({posLit(0), posLit(1)});
-  f.addClause({posLit(0), negLit(1), posLit(2)});
-  SimpOptions opts;
-  opts.subsumption = false;
-  opts.eliminate = false;
-  Preprocessor pre(opts);
-  const CnfFormula g = pre.run(f);
-  EXPECT_EQ(pre.stats().strengthened, 1);
-  bool found = false;
-  for (const Clause& c : g.clauses()) {
-    found = found || (c == Clause{posLit(0), posLit(2)});
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(SimpTest, BveEliminatesPureAndLowOccurrenceVariables) {
-  // x1 appears once per polarity: elimination replaces two clauses by
-  // one resolvent.
-  CnfFormula f(3);
-  f.addClause({posLit(0), posLit(1)});
-  f.addClause({negLit(0), posLit(2)});
-  SimpOptions opts;
-  opts.subsumption = false;
-  opts.strengthen = false;
-  Preprocessor pre(opts);
-  const CnfFormula g = pre.run(f);
-  EXPECT_GE(pre.stats().varsEliminated, 1);
-  // Everything is eliminable here; the result must be satisfiable and
-  // reconstruct to a model of f.
-  Assignment model;
-  const lbool st = solveCdcl(g, &model);
-  ASSERT_EQ(st, lbool::True);
-  EXPECT_TRUE(f.satisfies(pre.reconstruct(model)));
 }
 
 TEST(SimpTest, FrozenVariablesAreNeverEliminated) {
-  CnfFormula f(4);
-  f.addClause({posLit(0), posLit(1)});
-  f.addClause({negLit(0), posLit(2)});
-  f.addClause({negLit(2), posLit(3)});
-  Preprocessor pre;
-  const CnfFormula g = pre.run(f, {0, 2});
-  // Frozen vars may still occur; check by resolving a model.
+  // Variables 0 and 2 are frozen by occurring in soft clauses.
+  WcnfFormula w(4);
+  w.addHard({posLit(0), posLit(1)});
+  w.addHard({negLit(0), posLit(2)});
+  w.addHard({negLit(2), posLit(3)});
+  w.addSoft({posLit(0)});
+  w.addSoft({negLit(2)});
+  const SimplifyResult pre = simplifyHard(w);
+  ASSERT_TRUE(pre.simplified.has_value());
   Assignment model;
-  if (solveCdcl(g, &model) == lbool::True) {
-    const Assignment full = pre.reconstruct(model);
-    EXPECT_TRUE(f.satisfies(full));
+  ASSERT_EQ(solveHard(*pre.simplified, &model), lbool::True);
+  EXPECT_TRUE(w.cost(pre.extend(model)).has_value());
+
+  // 0 and 2 kept their meaning: pinning them in the simplified formula
+  // behaves as in the original.
+  WcnfFormula g2 = *pre.simplified;
+  g2.addHard({posLit(0)});
+  g2.addHard({posLit(2)});
+  // x0 ∧ x2 is consistent with the hards (x1 free, x3 follows x2).
+  EXPECT_EQ(solveHard(g2), lbool::True);
+  WcnfFormula g3 = *pre.simplified;
+  g3.addHard({posLit(0)});
+  g3.addHard({negLit(2)});
+  // x0 ∧ ¬x2 falsifies (¬x0 ∨ x2): must stay unsatisfiable.
+  EXPECT_EQ(solveHard(g3), lbool::False);
+}
+
+TEST(SimpTest, SubstitutedVariableExtendsToItsRepresentative) {
+  // x ↔ y is an SCC of the binary implication graph, so substitution
+  // replaces one of the two by the other. A clause longer than BVE's
+  // clause limit keeps the representative from being eliminated as
+  // well; its other literals are frozen by soft clauses.
+  constexpr Var x = 0;
+  constexpr Var y = 1;
+  constexpr int kLong = 30;
+  WcnfFormula w(2 + kLong);
+  w.addHard({negLit(x), posLit(y)});
+  w.addHard({posLit(x), negLit(y)});
+  Clause wide{posLit(x), posLit(y)};
+  for (Var s = 2; s < 2 + kLong; ++s) {
+    wide.push_back(posLit(s));
+    w.addSoft({negLit(s)});
   }
-  // Eliminating var 1 or 3 is fine, 0 and 2 must survive any run: force
-  // them with units and expect consistency.
-  CnfFormula g2 = g;
-  g2.addClause({posLit(0)});
-  g2.addClause({posLit(2)});
-  // f ∧ x0 ∧ x2 is satisfiable (x1 free, x3 picks up the last clause):
-  // the simplified formula must agree because 0 and 2 kept their meaning.
-  EXPECT_EQ(solveCdcl(g2), lbool::True);
-  CnfFormula g3 = g;
-  g3.addClause({posLit(0)});
-  g3.addClause({negLit(2)});
-  // f ∧ x0 ∧ ¬x2 falsifies (¬x0 ∨ x2): must stay unsatisfiable.
-  EXPECT_EQ(solveCdcl(g3), lbool::False);
+  w.addHard(wide);
+  w.addHard({posLit(y), negLit(2), posLit(3)});
+  w.addHard({negLit(x), negLit(2), negLit(4)});
+
+  const SimplifyResult pre = simplifyHard(w);
+  ASSERT_TRUE(pre.simplified.has_value());
+  const bool xKept = occursInHard(*pre.simplified, x);
+  const bool yKept = occursInHard(*pre.simplified, y);
+  ASSERT_NE(xKept, yKept) << "exactly one of x, y is substituted away";
+  const Var rep = xKept ? x : y;
+  const Var gone = xKept ? y : x;
+
+  for (const bool repValue : {false, true}) {
+    WcnfFormula pinned = *pre.simplified;
+    pinned.addHard({mkLit(rep, !repValue)});
+    Assignment model;
+    ASSERT_EQ(solveHard(pinned, &model), lbool::True);
+    // The engine's value of the substituted variable is meaningless;
+    // make it wrong so the witness replay has to fix it.
+    model[gone] = toLbool(!repValue);
+    const Assignment full = pre.extend(model);
+    EXPECT_EQ(full[x], full[y]) << "rep " << repValue;
+    EXPECT_EQ(full[rep], toLbool(repValue));
+    EXPECT_TRUE(w.cost(full).has_value()) << "rep " << repValue;
+  }
 }
 
 TEST(SimpTest, UnsatDetectedByPropagation) {
@@ -159,45 +163,37 @@ TEST(SimpTest, UnsatDetectedByPropagation) {
   f.addClause({posLit(0)});
   f.addClause({negLit(0), posLit(1)});
   f.addClause({negLit(1)});
-  Preprocessor pre;
-  const CnfFormula g = pre.run(f);
-  EXPECT_TRUE(pre.provedUnsat());
-  EXPECT_EQ(solveCdcl(g), lbool::False);
+  EXPECT_FALSE(simplifyHard(asHard(f)).simplified.has_value());
 }
 
 TEST(SimpTest, UnsatDetectedThroughElimination) {
-  const CnfFormula f = pigeonhole(3, 2);
-  Preprocessor pre;
-  const CnfFormula g = pre.run(f);
+  const SimplifyResult pre = simplifyHard(asHard(pigeonhole(3, 2)));
   // Whether or not preprocessing alone refutes it, the result must
   // still be unsatisfiable.
-  EXPECT_EQ(solveCdcl(g), lbool::False);
+  if (pre.simplified) {
+    EXPECT_EQ(solveHard(*pre.simplified), lbool::False);
+  }
 }
 
 TEST(SimpTest, DegenerateInputs) {
   {
-    CnfFormula empty(0);
-    Preprocessor pre;
-    const CnfFormula g = pre.run(empty);
-    EXPECT_FALSE(pre.provedUnsat());
-    EXPECT_EQ(g.numClauses(), 0);
+    const SimplifyResult pre = simplifyHard(WcnfFormula(0));
+    ASSERT_TRUE(pre.simplified.has_value());
+    EXPECT_EQ(pre.simplified->numHard(), 0);
   }
   {
-    CnfFormula f(1);
-    f.addClause(std::initializer_list<Lit>{});
-    Preprocessor pre;
-    static_cast<void>(pre.run(f));
-    EXPECT_TRUE(pre.provedUnsat());
+    WcnfFormula w(1);
+    w.addHard(std::initializer_list<Lit>{});
+    EXPECT_FALSE(simplifyHard(w).simplified.has_value());
   }
   {
-    // Tautologies disappear.
-    CnfFormula f(2);
-    f.addClause({posLit(0), negLit(0)});
-    f.addClause({posLit(1)});
-    Preprocessor pre;
-    const CnfFormula g = pre.run(f);
-    EXPECT_FALSE(pre.provedUnsat());
-    EXPECT_EQ(g.numClauses(), 1);
+    // Tautologies disappear; the unit stays as a unit hard clause.
+    WcnfFormula w(2);
+    w.addHard({posLit(0), negLit(0)});
+    w.addHard({posLit(1)});
+    const SimplifyResult pre = simplifyHard(w);
+    ASSERT_TRUE(pre.simplified.has_value());
+    EXPECT_EQ(pre.simplified->hard(), std::vector<Clause>{{posLit(1)}});
   }
 }
 
@@ -205,17 +201,17 @@ TEST(SimpTest, IdempotentOnItsOwnOutput) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const CnfFormula f = randomKSat(
         {.numVars = 12, .numClauses = 40, .clauseLen = 3, .seed = seed * 3});
-    Preprocessor first;
-    const CnfFormula g = first.run(f);
-    if (first.provedUnsat()) continue;
-    Preprocessor second;
-    const CnfFormula h = second.run(g);
-    // A second pass may still shuffle clauses but must not grow.
-    EXPECT_LE(h.numClauses(), g.numClauses()) << "seed " << seed;
+    const SimplifyResult first = simplifyHard(asHard(f));
+    if (!first.simplified) continue;
+    const SimplifyResult second = simplifyHard(*first.simplified);
+    ASSERT_TRUE(second.simplified.has_value()) << "seed " << seed;
+    // A second run may still shuffle clauses but must not grow.
+    EXPECT_LE(second.simplified->numHard(), first.simplified->numHard())
+        << "seed " << seed;
   }
 }
 
-TEST(SimpTest, PreprocessHardPreservesTheOptimum) {
+TEST(SimpTest, SimplifyHardPreservesTheOptimum) {
   std::mt19937_64 rng(7);
   for (int round = 0; round < 10; ++round) {
     WcnfFormula w(10);
@@ -233,27 +229,27 @@ TEST(SimpTest, PreprocessHardPreservesTheOptimum) {
       }
       w.addSoft(c, 1 + static_cast<Weight>(rng() % 4));
     }
-    auto [simplified, pre] = preprocessHard(w);
+    const SimplifyResult pre = simplifyHard(w);
     const OracleResult a = oracleMaxSat(w);
-    const OracleResult b = oracleMaxSat(simplified);
-    ASSERT_EQ(a.optimumCost.has_value(), b.optimumCost.has_value())
+    ASSERT_EQ(a.optimumCost.has_value(), pre.simplified.has_value())
         << "round " << round;
-    if (a.optimumCost) {
-      EXPECT_EQ(*a.optimumCost, *b.optimumCost) << "round " << round;
-      // And an engine on the simplified instance agrees.
-      auto solver = makeSolver("oll");
-      const MaxSatResult r = solver->solve(simplified);
-      ASSERT_EQ(r.status, MaxSatStatus::Optimum);
-      EXPECT_EQ(r.cost, *a.optimumCost) << "round " << round;
-    }
+    if (!a.optimumCost) continue;
+    const OracleResult b = oracleMaxSat(*pre.simplified);
+    ASSERT_TRUE(b.optimumCost.has_value()) << "round " << round;
+    EXPECT_EQ(*a.optimumCost, *b.optimumCost) << "round " << round;
+    // And an engine on the simplified instance agrees.
+    auto solver = makeSolver("oll");
+    const MaxSatResult r = solver->solve(*pre.simplified);
+    ASSERT_EQ(r.status, MaxSatStatus::Optimum);
+    EXPECT_EQ(r.cost, *a.optimumCost) << "round " << round;
   }
 }
 
-TEST(SimpTest, PreprocessHardWeightedModelReconstructionFuzz) {
-  // Weighted instances: preprocessHard must freeze every variable that
+TEST(SimpTest, SimplifyHardWeightedModelReconstructionFuzz) {
+  // Weighted instances: simplifyHard must freeze every variable that
   // occurs in a soft clause (their values ARE the objective), the
-  // optimum must match the plain oracle, and reconstruct() must extend
-  // an engine's model of the simplified instance to a full assignment
+  // optimum must match the plain oracle, and extend() must complete an
+  // engine's model of the simplified instance to a full assignment
   // that satisfies the original hard clauses at the same cost.
   std::mt19937_64 rng(20260731);
   int checked = 0;
@@ -275,16 +271,16 @@ TEST(SimpTest, PreprocessHardWeightedModelReconstructionFuzz) {
       w.addSoft(c, 1 + static_cast<Weight>(rng() % 6));
     }
 
-    auto [simplified, pre] = preprocessHard(w);
+    const SimplifyResult pre = simplifyHard(w);
     const OracleResult truth = oracleMaxSat(w);
-    if (pre.provedUnsat()) {
+    if (!pre.simplified) {
       EXPECT_FALSE(truth.optimumCost.has_value()) << "round " << round;
       continue;
     }
     ASSERT_TRUE(truth.optimumCost.has_value()) << "round " << round;
+    const WcnfFormula& simplified = *pre.simplified;
 
-    // Frozen soft variables: every variable of a soft clause must still
-    // mean the same thing, i.e. the soft clauses came through verbatim.
+    // The soft clauses come through verbatim.
     ASSERT_EQ(simplified.soft().size(), w.soft().size());
     for (std::size_t i = 0; i < w.soft().size(); ++i) {
       EXPECT_EQ(simplified.soft()[i].lits, w.soft()[i].lits)
@@ -297,15 +293,15 @@ TEST(SimpTest, PreprocessHardWeightedModelReconstructionFuzz) {
     ASSERT_EQ(r.status, MaxSatStatus::Optimum) << "round " << round;
     EXPECT_EQ(r.cost, *truth.optimumCost) << "round " << round;
 
-    // Reconstruction: complete the engine model (hard-only variables may
-    // have been eliminated) and evaluate it on the ORIGINAL instance.
-    const Assignment full = pre.reconstruct(r.model);
+    // Extension: complete the engine model (hard-only variables may
+    // have been removed) and evaluate it on the ORIGINAL instance.
+    const Assignment full = pre.extend(r.model);
     const std::optional<Weight> fullCost = w.cost(full);
     ASSERT_TRUE(fullCost.has_value())  // all original hards satisfied
         << "round " << round;
     EXPECT_EQ(*fullCost, *truth.optimumCost) << "round " << round;
 
-    // Frozen variables pass through reconstruction unchanged.
+    // Frozen variables pass through extension unchanged.
     for (const SoftClause& sc : w.soft()) {
       for (const Lit p : sc.lits) {
         const auto v = static_cast<std::size_t>(p.var());
@@ -324,16 +320,15 @@ TEST(SimpTest, LargeRandomRoundTripUnderCdcl) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const CnfFormula f = randomKSat(
         {.numVars = 60, .numClauses = 240, .clauseLen = 3, .seed = seed * 7});
-    Preprocessor pre;
-    const CnfFormula g = pre.run(f);
-    const lbool orig = solveCdcl(f);
-    const lbool simp = pre.provedUnsat() ? lbool::False : solveCdcl(g);
+    const SimplifyResult pre = simplifyHard(asHard(f));
+    const lbool orig = solveHard(asHard(f));
+    Assignment model;
+    const lbool simp =
+        pre.simplified ? solveHard(*pre.simplified, &model) : lbool::False;
     ASSERT_NE(orig, lbool::Undef);
     EXPECT_EQ(orig, simp) << "seed " << seed;
     if (simp == lbool::True) {
-      Assignment model;
-      ASSERT_EQ(solveCdcl(g, &model), lbool::True);
-      EXPECT_TRUE(f.satisfies(pre.reconstruct(model))) << "seed " << seed;
+      EXPECT_TRUE(f.satisfies(pre.extend(model))) << "seed " << seed;
     }
   }
 }
