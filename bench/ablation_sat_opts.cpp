@@ -2,8 +2,10 @@
 /// \brief Substrate ablation: how much of msu4's performance comes from
 ///        the CDCL heuristics the paper inherits from MiniSat? Runs
 ///        msu4-v2 with conflict-clause minimization off/basic/recursive,
-///        phase saving off, geometric instead of Luby restarts, and the
-///        tiered (core/tier2/local) learnt database.
+///        phase saving off, geometric instead of Luby restarts, trail
+///        reuse off, and the adaptive EMA restart trajectory (alone and
+///        with inprocessing). Exits 1 when a variant's optimum cost on
+///        an instance differs from the baseline's.
 ///
 /// Usage: ablation_sat_opts [timeout_seconds] [size_scale] [per_family]
 ///                          [--json [path]]
@@ -20,6 +22,7 @@
 
 #include "bench_json.h"
 #include "core/msu4.h"
+#include "harness/runner.h"
 #include "harness/suite.h"
 
 namespace {
@@ -82,11 +85,6 @@ int main(int argc, char** argv) {
     variants.push_back(v);
   }
   {
-    Variant v{"lbd-reduce", {}};
-    v.sat.lbd_reduce = true;
-    variants.push_back(v);
-  }
-  {
     // Warm-start A/B: the baseline runs the default (reuse on), this
     // lever isolates what the assumption-prefix reuse is worth.
     Variant v{"no-reuse-trail", {}};
@@ -99,15 +97,8 @@ int main(int argc, char** argv) {
     variants.push_back(v);
   }
   {
-    // lbd_reduce re-evaluated on the adaptive trajectory (the decision
-    // record in bench/README.md couples the two).
-    Variant v{"ema+lbd-reduce", {}};
-    v.sat.ema_restarts = true;
-    v.sat.lbd_reduce = true;
-    variants.push_back(v);
-  }
-  {
-    // Vivification re-evaluated on the adaptive trajectory (ditto).
+    // Vivification re-evaluated on the adaptive trajectory (decision
+    // record in bench/README.md).
     Variant v{"ema+inprocess", {}};
     v.sat.ema_restarts = true;
     v.sat.inprocess = true;
@@ -123,6 +114,7 @@ int main(int argc, char** argv) {
             << '\n';
 
   std::vector<benchjson::BenchRecord> records;
+  std::vector<RunRecord> runs;  // per-instance answers for the cross-check
   for (const Variant& v : variants) {
     int aborted = 0;
     int solved = 0;
@@ -139,6 +131,11 @@ int main(int argc, char** argv) {
                    std::chrono::steady_clock::now() - t0)
                    .count();
       agg += r.satStats;
+      runs.push_back({.solver = v.name,
+                      .instance = inst.name,
+                      .family = inst.family,
+                      .status = r.status,
+                      .cost = r.cost});
       if (r.status == MaxSatStatus::Unknown) {
         ++aborted;
       } else {
@@ -167,5 +164,7 @@ int main(int argc, char** argv) {
     }
     std::cout << "\nwrote " << jsonPath << '\n';
   }
-  return 0;
+  // Every variant must find the same optima. The baseline runs first,
+  // so its cost is the reference wherever it reached the optimum.
+  return crossCheckOptima(runs, std::cerr) > 0 ? 1 : 0;
 }

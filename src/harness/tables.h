@@ -55,7 +55,7 @@ void printScatterSummary(std::ostream& out,
 /// Prints the CDCL substrate counters (search totals including the
 /// warm-start trail reuse and restart-trajectory rows, the propagation
 /// breakdown from the flat-watch/binary-fast-path core, the learnt
-/// database's tier occupancy, the encoding-lifecycle accounting —
+/// database's deletions, the encoding-lifecycle accounting —
 /// retired scopes/clauses, reclaimed bytes, recycled variables — and
 /// the inprocessing accounting) as a labelled two-column table. Every
 /// line starts with `linePrefix` (e.g. "c " to keep DIMACS-style
@@ -81,12 +81,11 @@ void printRunStats(std::ostream& out, const EngineRunCounters& engine,
                    const std::string& linePrefix = "");
 
 /// Mirrors a SolverStats block into `registry` as `msu_solver_<field>`
-/// metrics — driven by the same MSU_SOLVER_STATS_FIELDS X-macro that
-/// printSatStats renders, so the two dump paths can never diverge.
-/// Search-work fields accumulate into `_total` counters; the gauge
-/// fields (`tier_*` occupancy, `restart_mode`, `mem_bytes`) overwrite
-/// gauges instead. Call once per finished run (the SolveService does,
-/// per job).
+/// metrics, one per SolverStats::forEachField entry. Search-work fields
+/// accumulate into `_total` counters; the fields SolverStats::isGauge
+/// names (`restart_mode`, the `mem_*` footprint) overwrite gauges
+/// instead. Call once per finished run (the SolveService does, per
+/// job).
 void exportStatsToMetrics(obs::MetricsRegistry& registry,
                           const SolverStats& stats);
 

@@ -24,8 +24,8 @@
 ///    clauses over the original variables into a SharedClausePool
 ///    (lock-free per-worker segments) and import the other workers'
 ///    clauses in budgeted drains on a conflict cadence — at forced
-///    level-0 backtracks inside search, not just at restart
-///    boundaries (Solver::Options::share_import_interval).
+///    level-0 backtracks inside search every 256 conflicts, not just
+///    at restart boundaries (Solver::kShareImportInterval).
 ///
 /// With `threads == 1` the portfolio degenerates to running the base
 /// configuration synchronously — no pool, no stop flag, no extra
@@ -86,7 +86,7 @@ class PortfolioSolver final : public MaxSatSolver {
   [[nodiscard]] static bool engineSharesSafely(const std::string& name);
 
   /// One human-readable description per worker ("msu4-v2",
-  /// "msu3 luby=0 rb=150", ...), in worker order.
+  /// "msu3 geom/150 vd=0.9 nophase", ...), in worker order.
   [[nodiscard]] std::vector<std::string> workerDescriptions() const;
 
   /// Worker index and engine name of the decisive worker of the last

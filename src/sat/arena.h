@@ -36,10 +36,6 @@ inline constexpr CRef kCRefUndef = 0xFFFFFFFFu;
 /// Layout (32-bit words):
 ///   word 0: header — size<<4 | tagged<<3 | relocated<<2 | deleted<<1 | learnt
 ///   word 1: float activity       (learnt clauses only)
-///   word 2: learnt metadata      (learnt clauses only):
-///             bits  0..23  LBD / glue level (saturating)
-///             bits 24..25  `used` aging counter for the tiered DB
-///             bits 26..27  tier (0 = core, 1 = tier2, 2 = local)
 ///   then `size` literal words,
 ///   then the activator tag word  (tagged clauses only: guard variable).
 ///
@@ -50,6 +46,21 @@ inline constexpr CRef kCRefUndef = 0xFFFFFFFFu;
 class ClauseRefView {
  public:
   explicit ClauseRefView(std::uint32_t* base) : base_(base) {}
+
+  /// Words before the first literal: the header, plus the activity
+  /// word of a learnt clause.
+  [[nodiscard]] static constexpr std::uint32_t leadingWords(bool learnt) {
+    return learnt ? 2u : 1u;
+  }
+  /// Words a stored clause of `nLits` literals occupies: the leading
+  /// words, the literals and the trailing tag word of a tagged clause.
+  /// The one layout rule allocation, GC accounting and the overflow
+  /// check share.
+  [[nodiscard]] static constexpr std::size_t storedWords(std::size_t nLits,
+                                                         bool learnt,
+                                                         bool tagged) {
+    return leadingWords(learnt) + nLits + (tagged ? 1u : 0u);
+  }
 
   [[nodiscard]] int size() const { return static_cast<int>(base_[0] >> 4); }
   [[nodiscard]] bool learnt() const { return (base_[0] & 1u) != 0; }
@@ -68,55 +79,11 @@ class ClauseRefView {
   /// Activity of a learnt clause.
   [[nodiscard]] float activity() const {
     assert(learnt());
-    return std::bit_cast<float>(base_[metaBase()]);
+    return std::bit_cast<float>(base_[1]);
   }
   void setActivity(float a) {
     assert(learnt());
-    base_[metaBase()] = std::bit_cast<std::uint32_t>(a);
-  }
-
-  /// Literal-block distance (number of distinct decision levels at
-  /// learning time; Glucose's "glue").
-  [[nodiscard]] std::uint32_t lbd() const {
-    assert(learnt());
-    return base_[metaBase() + 1] & kLbdMask;
-  }
-  void setLbd(std::uint32_t lbd) {
-    assert(learnt());
-    std::uint32_t& w = base_[metaBase() + 1];
-    w = (w & ~kLbdMask) | (lbd < kLbdMask ? lbd : kLbdMask);
-  }
-
-  /// `used` aging counter (0..3) consumed by the tiered reduceDB.
-  [[nodiscard]] std::uint32_t used() const {
-    assert(learnt());
-    return (base_[metaBase() + 1] >> 24) & 3u;
-  }
-  void setUsed(std::uint32_t used) {
-    assert(learnt() && used <= 3u);
-    std::uint32_t& w = base_[metaBase() + 1];
-    w = (w & ~(3u << 24)) | (used << 24);
-  }
-
-  /// Learnt-DB tier (0 = core, 1 = tier2, 2 = local).
-  [[nodiscard]] std::uint32_t tier() const {
-    assert(learnt());
-    return (base_[metaBase() + 1] >> 26) & 3u;
-  }
-  void setTier(std::uint32_t tier) {
-    assert(learnt() && tier <= 3u);
-    std::uint32_t& w = base_[metaBase() + 1];
-    w = (w & ~(3u << 26)) | (tier << 26);
-  }
-
-  /// Raw learnt-metadata word (LBD + used + tier), for GC relocation.
-  [[nodiscard]] std::uint32_t learntMeta() const {
-    assert(learnt());
-    return base_[metaBase() + 1];
-  }
-  void setLearntMeta(std::uint32_t meta) {
-    assert(learnt());
-    base_[metaBase() + 1] = meta;
+    base_[1] = std::bit_cast<std::uint32_t>(a);
   }
 
   [[nodiscard]] Lit& operator[](int i) {
@@ -164,22 +131,17 @@ class ClauseRefView {
     return litBase()[0];
   }
 
-  /// Non-literal words of the stored clause (header + learnt words +
+  /// Non-literal words of the stored clause (header + activity word +
   /// trailing tag word).
   [[nodiscard]] int headerWords() const {
-    return 1 + (learnt() ? 2 : 0) + (tagged() ? 1 : 0);
+    return static_cast<int>(storedWords(0, learnt(), tagged()));
   }
 
  private:
-  static constexpr std::uint32_t kLbdMask = 0x00FF'FFFFu;
-
-  /// Word index of the learnt activity word.
-  [[nodiscard]] std::uint32_t metaBase() const { return 1u; }
-
   /// Depends on the learnt bit only (the tag word trails the literals),
   /// keeping the propagation loop's literal accesses at seed cost.
   [[nodiscard]] std::uint32_t* litBase() const {
-    return base_ + ((base_[0] & 1u) != 0 ? 3 : 1);
+    return base_ + leadingWords((base_[0] & 1u) != 0);
   }
 
   std::uint32_t* base_;
@@ -196,11 +158,13 @@ class ClauseArena {
   /// fails cooperatively (AbortReason::kMemory) instead of aborting;
   /// alloc() itself keeps the hard abort as the search-path backstop.
   [[nodiscard]] bool wouldOverflow(std::size_t nLits) const {
-    return mem_.size() + nLits + 4 > (1u << 31);
+    return mem_.size() + ClauseRefView::storedWords(nLits, true, true) >
+           (1u << 31);
   }
 
   /// Allocates a clause; returns its reference. `tagVar`, when defined,
   /// records the activator variable owning the clause (see retire()).
+  /// A learnt clause starts at activity 0.
   [[nodiscard]] CRef alloc(std::span<const Lit> lits, bool learnt,
                            Var tagVar = kUndefVar) {
     // CRefs must stay below 2^31: the solver packs a tag bit beside
@@ -210,15 +174,14 @@ class ClauseArena {
     const auto size = static_cast<std::uint32_t>(lits.size());
     const bool tagged = tagVar != kUndefVar;
     const CRef ref = static_cast<CRef>(mem_.size());
-    mem_.push_back((size << 4) | (tagged ? 8u : 0u) | (learnt ? 1u : 0u));
-    if (learnt) {
-      mem_.push_back(std::bit_cast<std::uint32_t>(0.0f));
-      mem_.push_back(0u);  // LBD, set by the solver after analysis
+    mem_.resize(ref + ClauseRefView::storedWords(size, learnt, tagged));
+    std::uint32_t* base = mem_.data() + ref;
+    base[0] = (size << 4) | (tagged ? 8u : 0u) | (learnt ? 1u : 0u);
+    std::uint32_t* litWords = base + ClauseRefView::leadingWords(learnt);
+    for (std::uint32_t i = 0; i < size; ++i) {
+      litWords[i] = static_cast<std::uint32_t>(lits[i].index());
     }
-    for (Lit p : lits) {
-      mem_.push_back(static_cast<std::uint32_t>(p.index()));
-    }
-    if (tagged) mem_.push_back(static_cast<std::uint32_t>(tagVar));
+    if (tagged) litWords[size] = static_cast<std::uint32_t>(tagVar);
     return ref;
   }
 
@@ -234,8 +197,8 @@ class ClauseArena {
 
   /// Records that a clause of the given stored size was logically freed.
   void markWasted(int clauseSize, bool learnt, bool tagged = false) {
-    wasted_ += static_cast<std::uint32_t>(clauseSize) + 1u +
-               (learnt ? 2u : 0u) + (tagged ? 1u : 0u);
+    wasted_ += ClauseRefView::storedWords(
+        static_cast<std::size_t>(clauseSize), learnt, tagged);
   }
 
   /// Records words abandoned by an in-place clause shrink (inprocessing
@@ -268,10 +231,7 @@ class ClauseArena {
     }
     const CRef fresh =
         to.alloc(c.lits(), c.learnt(), c.tagged() ? c.tag() : kUndefVar);
-    if (c.learnt()) {
-      to[fresh].setActivity(c.activity());
-      to[fresh].setLearntMeta(c.learntMeta());
-    }
+    if (c.learnt()) to[fresh].setActivity(c.activity());
     if (c.deleted()) to[fresh].markDeleted();
     c.setRelocated(fresh);
     ref = fresh;

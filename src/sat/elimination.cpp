@@ -12,9 +12,9 @@
 /// (sat/reconstruct.h) and replayed over models before they are
 /// published. The pass is *bounded*: a variable is eliminated only when
 /// both occurrence lists are short (inprocess_bve_occ_limit), no
-/// occurrence is longer than inprocess_bve_clause_limit, and the
-/// resolvent count does not exceed the occurrence count by more than
-/// inprocess_bve_growth. Pure literals fall out as the empty-side case.
+/// occurrence is longer than kBveClauseLimit literals, and the
+/// non-tautological resolvents do not outnumber the clauses they
+/// replace. Pure literals fall out as the empty-side case.
 ///
 /// ## Scope-/incremental-safety (the reconstruction contract, solver.h)
 ///
@@ -52,6 +52,13 @@
 #include "sat/solver.h"
 
 namespace msu {
+
+namespace {
+/// BVE skips a variable occurring in any clause longer than this:
+/// resolvents of long clauses are long, so BVE keeps to the cheap,
+/// local eliminations.
+constexpr int kBveClauseLimit = 24;
+}  // namespace
 
 Lit Solver::reprLit(Lit p) const {
   // Chases substitution chains. The map is acyclic by construction:
@@ -206,7 +213,7 @@ bool Solver::inprocEliminate() {
     const ClauseRefView c = arena_[ref];
     if (c.deleted()) continue;
     bool eligible =
-        !c.tagged() && c.size() <= opts_.inprocess_bve_clause_limit;
+        !c.tagged() && c.size() <= kBveClauseLimit;
     if (eligible) {
       for (const Lit p : c.lits()) {
         if (is_activator_[p.var()] != 0 || var_owner_[p.var()] != kUndefVar) {
@@ -284,11 +291,11 @@ bool Solver::inprocEliminate() {
     }
     if (posCount + negCount == 0) continue;  // unused variable
 
-    // Build the non-tautological resolvents; bail out as soon as the
-    // growth allowance is exceeded.
+    // Build the non-tautological resolvents; bail out as soon as they
+    // outnumber the clauses they would replace.
     resolvents.clear();
     bool tooMany = false;
-    const int allow = posCount + negCount + opts_.inprocess_bve_growth;
+    const int allow = posCount + negCount;
     for (const auto& cp : posCls) {
       for (const auto& cn : negCls) {
         scratch.clear();

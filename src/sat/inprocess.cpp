@@ -324,9 +324,6 @@ bool Solver::applyStrengthened(CRef ref, std::span<const Lit> newLits,
   for (std::size_t k = 0; k < ps.size(); ++k) c[static_cast<int>(k)] = ps[k];
   c.shrink(static_cast<int>(ps.size()));
   arena_.markWastedWords(oldSize - static_cast<int>(ps.size()));
-  if (c.learnt() && c.lbd() > static_cast<std::uint32_t>(ps.size())) {
-    c.setLbd(static_cast<std::uint32_t>(ps.size()));
-  }
   attachClause(ref);
   return true;
 }

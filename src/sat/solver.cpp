@@ -14,6 +14,17 @@ namespace {
 /// Activity ceiling before rescaling.
 constexpr double kVarRescaleLimit = 1e100;
 constexpr float kClaRescaleLimit = 1e20f;
+
+// Restart pacing (MiniSat's geometric factor) and the adaptive EMA
+// trajectory's tuning (glucose's values; Options::ema_restarts).
+constexpr double kRestartInc = 2.0;       // geometric restart factor
+constexpr double kEmaMargin = 1.25;       // restart when fast > margin * slow
+constexpr int kEmaMinConflicts = 50;      // segment conflicts before firing/blocking
+constexpr double kEmaBlockMargin = 1.4;   // block when trail > margin * avg
+constexpr double kEmaTrailAlpha = 1.0 / 4096.0;  // trail-size EMA smoothing
+// Luby scale of stable-mode restarts, in multiples of restart_base
+// (stable phases restart rarely by design).
+constexpr int kStableRestartMult = 8;
 }  // namespace
 
 double lubySequence(double y, int i) {
@@ -32,10 +43,11 @@ double lubySequence(double y, int i) {
   return std::pow(y, seq);
 }
 
-Solver::Solver(const Options& opts) : opts_(opts), order_heap_(activity_) {
-  restart_ema_.fast_alpha = opts_.ema_fast_alpha;
-  restart_ema_.slow_alpha = opts_.ema_slow_alpha;
-}
+Solver::Solver(const Options& opts)
+    : opts_(opts),
+      order_heap_(activity_),
+      share_size_cur_(opts.share_max_size),
+      share_lbd_cur_(opts.share_max_lbd) {}
 
 Var Solver::newVar(bool decisionVar, bool scoped) {
   Var v;
@@ -515,7 +527,6 @@ void Solver::removeClause(CRef ref) {
   }
   // A reason clause must not keep dangling references.
   if (locked(ref)) vardata_[c[0].var()].reason = Reason::none();
-  if (c.learnt()) --tierGauge(c.tier());
   arena_.markWasted(c.size(), c.learnt(), c.tagged());
   c.markDeleted();
 }
@@ -524,17 +535,6 @@ bool Solver::locked(CRef ref) const {
   const ClauseRefView c = arena_[ref];
   const Lit p = c[0];
   return value(p) == lbool::True && reason(p.var()) == Reason::clause(ref);
-}
-
-std::int64_t& Solver::tierGauge(std::uint32_t tier) {
-  switch (tier) {
-    case kTierCore:
-      return stats_.tier_core;
-    case kTier2:
-      return stats_.tier_tier2;
-    default:
-      return stats_.tier_local;
-  }
 }
 
 void Solver::uncheckedEnqueue(Lit p, Reason from) {
@@ -693,33 +693,6 @@ void Solver::claBumpActivity(ClauseRefView c) {
   }
 }
 
-void Solver::bumpLearnt(ClauseRefView c) {
-  claBumpActivity(c);
-  if (!opts_.lbd_reduce) return;
-  // Tiered DB: refresh the aging counter and re-evaluate the glue. A
-  // clause whose LBD improves migrates towards a more protected tier
-  // (core is terminal — never demoted).
-  if (c.used() < 3) c.setUsed(c.used() + 1);
-  const std::uint32_t newLbd = computeLbd(c.lits());
-  if (newLbd < c.lbd()) {
-    c.setLbd(newLbd);
-    const std::uint32_t t = c.tier();
-    std::uint32_t nt = t;
-    if (newLbd <= 2) {
-      nt = kTierCore;
-    } else if (t == kTierLocal &&
-               newLbd <= static_cast<std::uint32_t>(opts_.tier2_lbd)) {
-      nt = kTier2;
-    }
-    if (nt != t) {
-      --tierGauge(t);
-      ++tierGauge(nt);
-      c.setTier(nt);
-      ++stats_.promoted_clauses;
-    }
-  }
-}
-
 void Solver::analyze(Reason confl, std::vector<Lit>& outLearnt,
                      int& outBtLevel) {
   int pathC = 0;
@@ -740,7 +713,7 @@ void Solver::analyze(Reason confl, std::vector<Lit>& outLearnt,
       lits = binLits;
     } else {
       ClauseRefView c = arena_[confl.cref()];
-      if (c.learnt()) bumpLearnt(c);
+      if (c.learnt()) claBumpActivity(c);
       lits = c.lits();
     }
 
@@ -933,19 +906,9 @@ void Solver::recordLearnt(std::span<const Lit> learntClause) {
     const Var tag = scopes_.empty() ? kUndefVar : learntTagFor(learntClause);
     noteAllocFault();
     const CRef ref = arena_.alloc(learntClause, /*learnt=*/true, tag);
-    ClauseRefView c = arena_[ref];
     const std::uint32_t lbd = computeLbd(learntClause);
     last_learnt_lbd_ = lbd;
     maybeExportLearnt(learntClause, lbd);
-    c.setLbd(lbd);
-    const std::uint32_t tier =
-        lbd <= 2 ? kTierCore
-                 : (lbd <= static_cast<std::uint32_t>(opts_.tier2_lbd)
-                        ? kTier2
-                        : kTierLocal);
-    c.setTier(tier);
-    c.setUsed(2);
-    ++tierGauge(tier);
     learnts_.push_back(ref);
     attachClause(ref);
     claBumpActivity(arena_[ref]);
@@ -956,54 +919,6 @@ void Solver::recordLearnt(std::span<const Lit> learntClause) {
 }
 
 void Solver::reduceDB() {
-  if (opts_.lbd_reduce) {
-    // Tiered (Glucose/CaDiCaL-style): core clauses are permanent;
-    // tier2 clauses age via `used` and demote to local when cold;
-    // the worst half of local (high LBD, low activity) is deleted.
-    std::vector<CRef> keep;
-    std::vector<CRef> locals;
-    keep.reserve(learnts_.size());
-    for (CRef ref : learnts_) {
-      ClauseRefView c = arena_[ref];
-      const std::uint32_t t = c.tier();
-      if (t == kTierCore) {
-        keep.push_back(ref);
-      } else if (t == kTier2) {
-        if (c.used() > 0) {
-          c.setUsed(c.used() - 1);
-          keep.push_back(ref);
-        } else {
-          c.setTier(kTierLocal);
-          --stats_.tier_tier2;
-          ++stats_.tier_local;
-          ++stats_.demoted_clauses;
-          locals.push_back(ref);
-        }
-      } else {
-        locals.push_back(ref);
-      }
-    }
-    std::sort(locals.begin(), locals.end(), [&](CRef a, CRef b) {
-      const ClauseRefView ca = arena_[a];
-      const ClauseRefView cb = arena_[b];
-      if (ca.lbd() != cb.lbd()) return ca.lbd() > cb.lbd();
-      return ca.activity() < cb.activity();
-    });
-    const std::size_t target = locals.size() / 2;
-    std::size_t removed = 0;
-    for (CRef ref : locals) {
-      if (removed < target && !locked(ref)) {
-        removeClause(ref);
-        ++stats_.removed_clauses;
-        ++removed;
-      } else {
-        keep.push_back(ref);
-      }
-    }
-    learnts_ = std::move(keep);
-    garbageCollectIfNeeded();
-    return;
-  }
   // MiniSat-style: sort by activity, keep the active half. (Binary
   // learnt clauses live outside the arena and are always kept.)
   std::sort(learnts_.begin(), learnts_.end(), [&](CRef a, CRef b) {
@@ -1157,17 +1072,10 @@ void Solver::relocAll(ClauseArena& to) {
 
 void Solver::maybeExportLearnt(std::span<const Lit> lits, std::uint32_t lbd) {
   if (!sharing() || !ok_) return;
-  // Lazy init of the dynamic ceilings (0 = not yet seeded from opts).
-  if (share_size_cur_ == 0) {
-    share_size_cur_ = opts_.share_max_size;
-    share_lbd_cur_ = opts_.share_max_lbd;
+  if (static_cast<int>(lits.size()) > share_size_cur_) return;
+  if (lits.size() > 2 && lbd > static_cast<std::uint32_t>(share_lbd_cur_)) {
+    return;
   }
-  const int maxSize = opts_.share_dynamic ? share_size_cur_
-                                          : opts_.share_max_size;
-  const int maxLbd = opts_.share_dynamic ? share_lbd_cur_
-                                         : opts_.share_max_lbd;
-  if (static_cast<int>(lits.size()) > maxSize) return;
-  if (lits.size() > 2 && lbd > static_cast<std::uint32_t>(maxLbd)) return;
   // Only clauses over the shareable variable prefix are consequences of
   // the shared (hard) part of the problem; anything touching a
   // selector, activator or encoding auxiliary stays private. See
@@ -1182,7 +1090,7 @@ void Solver::maybeExportLearnt(std::span<const Lit> lits, std::uint32_t lbd) {
   }
 }
 
-void Solver::importSharedClauses(int maxClauses) {
+void Solver::importSharedClauses() {
   // Precondition: decision level 0 with a fully propagated trail.
   // Imported clauses are attached with plain watch setup — units are
   // enqueued and propagated at the root, longer clauses get arbitrary
@@ -1266,21 +1174,10 @@ void Solver::importSharedClauses(int maxClauses) {
     }
     noteAllocFault();
     const CRef ref = arena_.alloc(ps, /*learnt=*/true, kUndefVar);
-    ClauseRefView c = arena_[ref];
-    const auto lbd = static_cast<std::uint32_t>(ps.size());
-    c.setLbd(lbd);
-    const std::uint32_t tier =
-        lbd <= 2 ? kTierCore
-                 : (lbd <= static_cast<std::uint32_t>(opts_.tier2_lbd)
-                        ? kTier2
-                        : kTierLocal);
-    c.setTier(tier);
-    c.setUsed(2);
-    ++tierGauge(tier);
     learnts_.push_back(ref);
     attachClause(ref);
   },
-      maxClauses);
+      kShareImportBudget);
   stats_.shared_import_scanned += scanned;
   drainSpan.arg("scanned", scanned);
   if (opts_.drain_size_hist != nullptr) opts_.drain_size_hist->observe(scanned);
@@ -1291,16 +1188,11 @@ void Solver::importSharedClauses(int maxClauses) {
   // contribute. A high attach rate means sharing is pulling its weight
   // — relax back toward the configured maxima. One notch per window
   // keeps the feedback loop stable against bursty drains.
-  if (opts_.share_dynamic &&
-      share_win_hits_ + share_win_misses_ >= kShareWindow) {
-    if (share_size_cur_ == 0) {
-      share_size_cur_ = opts_.share_max_size;
-      share_lbd_cur_ = opts_.share_max_lbd;
-    }
+  if (share_win_hits_ + share_win_misses_ >= kShareWindow) {
     if (share_win_hits_ * 2 < share_win_misses_) {
       // Under a 1-in-3 attach rate: tighten.
-      share_size_cur_ = std::max(opts_.share_dyn_min_size, share_size_cur_ - 1);
-      share_lbd_cur_ = std::max(opts_.share_dyn_min_lbd, share_lbd_cur_ - 1);
+      share_size_cur_ = std::max(kShareMinSize, share_size_cur_ - 1);
+      share_lbd_cur_ = std::max(kShareMinLbd, share_lbd_cur_ - 1);
     } else if (share_win_hits_ > share_win_misses_) {
       // Over half attached: relax.
       share_size_cur_ = std::min(opts_.share_max_size, share_size_cur_ + 1);
@@ -1438,11 +1330,10 @@ lbool Solver::search(std::int64_t conflictsBeforeRestart) {
         // trail heuristic — the solver looks close to a model, let it
         // dig).
         restart_ema_.update(static_cast<double>(last_learnt_lbd_));
-        trail_ema_.update(static_cast<double>(confTrail),
-                          opts_.ema_trail_alpha);
-        if (conflictC >= opts_.ema_min_conflicts &&
+        trail_ema_.update(static_cast<double>(confTrail), kEmaTrailAlpha);
+        if (conflictC >= kEmaMinConflicts &&
             static_cast<double>(confTrail) >
-                opts_.ema_block_margin * trail_ema_.value) {
+                kEmaBlockMargin * trail_ema_.value) {
           restart_ema_.block();
           ++stats_.restarts_blocked;
         }
@@ -1462,12 +1353,11 @@ lbool Solver::search(std::int64_t conflictsBeforeRestart) {
       // long stable plateaus (Luby tails, EMA-blocked stretches). The
       // level-0 precondition of importSharedClauses() is established by
       // the cancelUntil(0) here; see its definition for why it matters.
-      if (sharing() && opts_.share_import_interval > 0 &&
-          stats_.conflicts >= next_share_import_) {
-        next_share_import_ = stats_.conflicts + opts_.share_import_interval;
+      if (sharing() && stats_.conflicts >= next_share_import_) {
+        next_share_import_ = stats_.conflicts + kShareImportInterval;
         if (opts_.share->hasPending()) {
           cancelUntil(0);
-          importSharedClauses(opts_.share_import_budget);
+          importSharedClauses();
           warm_solves_since_import_ = 0;
           if (!ok_) {
             traceLemma({});
@@ -1478,8 +1368,8 @@ lbool Solver::search(std::int64_t conflictsBeforeRestart) {
       const bool restartNow =
           conflictsBeforeRestart >= 0
               ? conflictC >= conflictsBeforeRestart
-              : (conflictC >= opts_.ema_min_conflicts &&
-                 restart_ema_.shouldRestart(opts_.ema_margin));
+              : (conflictC >= kEmaMinConflicts &&
+                 restart_ema_.shouldRestart(kEmaMargin));
       if (restartNow || !withinBudget()) {
         cancelUntil(0);
         return lbool::Undef;
@@ -1630,7 +1520,7 @@ lbool Solver::solve(std::span<const Lit> assumptions) {
     // inprocessing its periodic shot at the database. A warm first
     // segment skips both — they run at the next genuine restart.
     if (decisionLevel() == 0) {
-      importSharedClauses(opts_.share_import_budget);
+      importSharedClauses();
       warm_solves_since_import_ = 0;
       if (!ok_ || !maybeInprocess()) {
         status = lbool::False;
@@ -1645,13 +1535,13 @@ lbool Solver::solve(std::span<const Lit> assumptions) {
       pace = stable_mode_
                  ? static_cast<std::int64_t>(
                        lubySequence(2.0, stable_luby_idx_++) *
-                       opts_.restart_base * opts_.stable_restart_mult)
+                       opts_.restart_base * kStableRestartMult)
                  : -1;
     } else {
       const double restartBase =
           opts_.luby_restarts
               ? lubySequence(2.0, restarts)
-              : std::pow(opts_.restart_inc, restarts);
+              : std::pow(kRestartInc, restarts);
       pace = static_cast<std::int64_t>(restartBase * opts_.restart_base);
     }
     {

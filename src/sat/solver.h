@@ -26,16 +26,10 @@
 ///    `analyze`/`analyzeFinal`/`litRedundant` resolve binary reasons
 ///    without touching the arena.
 ///
-///  * **Tiered learnt database.** With Options::lbd_reduce, learnt
-///    clauses are partitioned Glucose/CaDiCaL-style by LBD into core
-///    (LBD <= 2, kept forever), tier2 (LBD <= tier2_lbd, aged by a
-///    `used` counter and demoted when cold) and local (aggressively
-///    halved each reduceDB). Clauses touched during conflict analysis
-///    refresh `used`, recompute their LBD and get promoted when it
-///    improves. Without lbd_reduce, the classic MiniSat
-///    activity-sorted deletion is used. Deletion detaches lazily:
-///    watchers of deleted clauses are dropped as propagation or GC
-///    encounters them.
+///  * **Learnt-clause deletion.** MiniSat's: reduceDB sorts the learnt
+///    arena clauses by activity and deletes the less active half.
+///    Deletion detaches lazily: watchers of deleted clauses are dropped
+///    as propagation or GC encounters them.
 ///
 /// ## Encoding lifecycle (oracle sessions)
 ///
@@ -184,7 +178,7 @@
 /// Luby/geometric schedule to a glucose-style adaptive trigger: fast
 /// and slow exponential moving averages of learnt-clause LBD (see
 /// RestartEma) fire a restart when the recent average exceeds
-/// ema_margin times the long-run average, and a trail-size EMA blocks
+/// 1.25 times the long-run average, and a trail-size EMA blocks
 /// restarts while the assignment is unusually deep (the solver looks
 /// close to a model). On top, the solver alternates CaDiCaL-style
 /// between a *focused* mode (EMA restarts) and a *stable* mode
@@ -243,14 +237,14 @@ struct Ema {
 /// is unusually deep (the solver looks close to a model), postponing
 /// restarts until the fast average climbs anew.
 struct RestartEma {
-  double fast_alpha = 1.0 / 32.0;
-  double slow_alpha = 1.0 / 8192.0;
+  static constexpr double kFastAlpha = 1.0 / 32.0;
+  static constexpr double kSlowAlpha = 1.0 / 8192.0;
   Ema fast;
   Ema slow;
 
   void update(double lbd) {
-    fast.update(lbd, fast_alpha);
-    slow.update(lbd, slow_alpha);
+    fast.update(lbd, kFastAlpha);
+    slow.update(lbd, kSlowAlpha);
   }
 
   [[nodiscard]] bool shouldRestart(double margin) const {
@@ -268,17 +262,13 @@ class Solver {
   /// Tunable parameters; defaults match MiniSat's.
   struct Options {
     double var_decay = 0.95;       ///< VSIDS activity decay
-    double clause_decay = 0.999;   ///< learnt clause activity decay
     int restart_base = 100;        ///< conflicts per Luby unit
     bool luby_restarts = true;     ///< Luby vs. geometric restarts
-    double restart_inc = 2.0;      ///< geometric restart factor
     bool phase_saving = true;      ///< reuse last assigned polarity
     int ccmin_mode = 2;            ///< 0=off, 1=basic, 2=recursive
     double learntsize_factor = 1.0 / 3.0;  ///< initial learnt DB size
     double learntsize_inc = 1.1;   ///< learnt DB growth per restart
     double garbage_frac = 0.20;    ///< GC when wasted/size exceeds this
-    bool lbd_reduce = false;       ///< tiered (core/tier2/local) reduceDB
-    int tier2_lbd = 6;             ///< max LBD admitted into tier2
 
     /// Warm-started oracle calls: keep the trail across solve()
     /// boundaries and backtrack only to the first divergence between
@@ -295,18 +285,9 @@ class Solver {
     /// bench/README.md); the portfolio diversifies workers across both
     /// modes.
     bool ema_restarts = false;
-    double ema_fast_alpha = 1.0 / 32.0;    ///< fast LBD EMA smoothing
-    double ema_slow_alpha = 1.0 / 8192.0;  ///< slow LBD EMA smoothing
-    double ema_margin = 1.25;    ///< restart when fast > margin * slow
-    int ema_min_conflicts = 50;  ///< conflicts per segment before firing
-    double ema_block_margin = 1.4;  ///< block when trail > margin * avg
-    double ema_trail_alpha = 1.0 / 4096.0;  ///< trail-size EMA smoothing
     /// Conflicts until the first stable/focused mode switch; the
     /// interval doubles at every switch, so late phases are long.
     std::int64_t mode_switch_conflicts = 1000;
-    /// Luby scale of stable-mode restarts, in multiples of
-    /// restart_base (stable phases restart rarely by design).
-    int stable_restart_mult = 8;
 
     /// Optional proof receiver (non-owning; must outlive the solver).
     /// Attach before adding clauses so the axiom trace is complete.
@@ -329,27 +310,6 @@ class Solver {
     int share_max_size = 8;  ///< export ceiling on clause length
     int share_max_lbd = 4;   ///< export ceiling on LBD (clauses > 2 lits)
     Var share_num_vars = 0;  ///< only clauses over vars < this qualify
-    /// Conflict cadence of in-search import drains: every this many
-    /// conflicts, a sharing solver at a no-conflict point backtracks to
-    /// level 0 (a forced mini-restart) and runs one budgeted drain —
-    /// instead of waiting for a natural restart, which on long stable
-    /// plateaus can starve the exchange. 0 disables the cadence
-    /// (imports then happen only at solve entry and restart
-    /// boundaries, the pre-PR-7 behaviour).
-    std::int64_t share_import_interval = 256;
-    /// Max foreign clauses attached per drain; <0 = unbounded. Bounds
-    /// the level-0 work a drain injects so import cost stays amortized
-    /// against the conflict cadence.
-    int share_import_budget = 128;
-    /// Adapt the export ceilings to the measured usefulness of the
-    /// traffic: per adaptation window (see kShareWindow), if most
-    /// imported clauses were dropped as satisfied/void the ceilings
-    /// tighten toward (share_dyn_min_size, share_dyn_min_lbd); if most
-    /// attached, they relax back toward the configured maxima. Off =
-    /// fixed ceilings (bit-for-bit the static filter).
-    bool share_dynamic = true;
-    int share_dyn_min_size = 3;  ///< floor of the dynamic size ceiling
-    int share_dyn_min_lbd = 2;   ///< floor of the dynamic LBD ceiling
 
     /// Optional execution tracer (non-owning; must outlive the solver).
     /// When set and enabled, the solver emits spans for solve() calls,
@@ -404,14 +364,6 @@ class Solver {
     /// lists (long + binary) are at most this long. <= 0 disables the
     /// elimination stage.
     int inprocess_bve_occ_limit = 16;
-    /// Resolvent-count slack of one elimination: a variable is
-    /// eliminated only when the number of non-tautological resolvents
-    /// is at most (occurrences removed) + this growth allowance.
-    int inprocess_bve_growth = 0;
-    /// Skip elimination of a variable occurring in any clause longer
-    /// than this (resolvents of long clauses are long; keeps BVE to
-    /// the cheap, local eliminations).
-    int inprocess_bve_clause_limit = 24;
     /// Enable SCC-based equivalent-literal detection + substitution
     /// over the binary implication graph.
     bool inprocess_scc = true;
@@ -726,11 +678,6 @@ class Solver {
     bool enforced = true;     ///< auto-assume activator vs. its negation
   };
 
-  // Learnt-DB tiers (stored in the clause header's tier bits).
-  static constexpr std::uint32_t kTierCore = 0;
-  static constexpr std::uint32_t kTier2 = 1;
-  static constexpr std::uint32_t kTierLocal = 2;
-
   // Construction helpers. There is no eager detach: removeClause()
   // marks the clause deleted and its watchers are dropped lazily by
   // propagate() and the GC sweep.
@@ -846,8 +793,8 @@ class Solver {
   }
   void maybeExportLearnt(std::span<const Lit> lits, std::uint32_t lbd);
   /// Budgeted level-0 drain; see the definition for the full
-  /// precondition contract. `maxClauses` < 0 = unbounded.
-  void importSharedClauses(int maxClauses);
+  /// precondition contract.
+  void importSharedClauses();
 
   [[nodiscard]] bool locked(CRef ref) const;
   [[nodiscard]] int level(Var v) const { return vardata_[v].level; }
@@ -856,12 +803,8 @@ class Solver {
   void varBumpActivity(Var v);
   void varDecayActivity() { var_inc_ /= opts_.var_decay; }
   void claBumpActivity(ClauseRefView c);
-  void claDecayActivity() { cla_inc_ /= opts_.clause_decay; }
-
-  /// Conflict-analysis touch of a learnt arena clause: activity bump
-  /// plus tiered-DB bookkeeping (used refresh, LBD update, promotion).
-  void bumpLearnt(ClauseRefView c);
-  [[nodiscard]] std::int64_t& tierGauge(std::uint32_t tier);
+  static constexpr double kClauseDecay = 0.999;  // MiniSat's
+  void claDecayActivity() { cla_inc_ /= kClauseDecay; }
 
   [[nodiscard]] bool withinBudget() const;
 
@@ -972,15 +915,24 @@ class Solver {
   std::int64_t warm_solves_since_import_ = 0;
 
   // Conflict-cadence import + dynamic export ceilings (sharing only).
-  // The ceilings start at the configured maxima and move one notch per
-  // kShareWindow imported clauses according to the window's attach
-  // rate; see adaptShareCeilings().
+  // Every kShareImportInterval conflicts, search backtracks to level 0
+  // (a forced mini-restart) and runs one drain, so long stable plateaus
+  // cannot starve the exchange; a drain attaches at most
+  // kShareImportBudget clauses, keeping its level-0 work amortized
+  // against that cadence. The export ceilings start at the configured
+  // maxima and move one notch per kShareWindow imported clauses
+  // according to the window's attach rate, never below kShareMinSize /
+  // kShareMinLbd; see importSharedClauses().
   std::int64_t next_share_import_ = 0;  // stats_.conflicts threshold
-  int share_size_cur_ = 0;              // current dynamic size ceiling
-  int share_lbd_cur_ = 0;               // current dynamic LBD ceiling
+  int share_size_cur_;                  // current dynamic size ceiling
+  int share_lbd_cur_;                   // current dynamic LBD ceiling
   std::int64_t share_win_hits_ = 0;     // window: imports attached
   std::int64_t share_win_misses_ = 0;   // window: imports dropped
+  static constexpr std::int64_t kShareImportInterval = 256;
+  static constexpr int kShareImportBudget = 128;
   static constexpr std::int64_t kShareWindow = 64;
+  static constexpr int kShareMinSize = 3;
+  static constexpr int kShareMinLbd = 2;
 
   // Adaptive-restart state (Options::ema_restarts).
   RestartEma restart_ema_;

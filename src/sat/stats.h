@@ -5,12 +5,16 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 namespace msu {
 
-/// The one authoritative list of SolverStats counters: forEachField
-/// and operator+= are generated from it, so a new counter only has to
-/// be added here plus its declaration below.
+/// The one authoritative list of SolverStats fields: forEachField,
+/// operator+= and isGauge are generated from it, so a new field only
+/// has to be added here plus its declaration below. MSU_SOLVER_STATS_FIELDS
+/// lists the monotone tallies of work performed; MSU_SOLVER_STATS_GAUGES
+/// the current levels (the memory footprint), which a metrics export
+/// must not present as counters.
 #define MSU_SOLVER_STATS_FIELDS(X) \
   X(solves)                        \
   X(decisions)                     \
@@ -26,11 +30,6 @@ namespace msu {
   X(long_propagations)             \
   X(blocker_hits)                  \
   X(watch_bytes_visited)           \
-  X(promoted_clauses)              \
-  X(demoted_clauses)               \
-  X(tier_core)                     \
-  X(tier_tier2)                    \
-  X(tier_local)                    \
   X(retired_scopes)                \
   X(retired_clauses)               \
   X(reclaimed_bytes)               \
@@ -58,15 +57,17 @@ namespace msu {
   X(inproc_probe_hbr)              \
   X(reused_trail_lits)             \
   X(restarts_blocked)              \
-  X(mode_switches)                 \
+  X(mode_switches)
+
+#define MSU_SOLVER_STATS_GAUGES(X) \
   X(mem_bytes)                     \
   X(mem_arena_bytes)               \
   X(mem_watch_bytes)               \
   X(mem_external_bytes)
 
 /// Cumulative CDCL statistics. All counters are monotone over the
-/// solver's lifetime except the `tier_*` occupancy gauges, which track
-/// the learnt database's current tier populations.
+/// solver's lifetime except the gauges: the `mem_*` footprint (see
+/// MSU_SOLVER_STATS_GAUGES) and the categorical `restart_mode`.
 struct SolverStats {
   std::int64_t solves = 0;        ///< calls to solve()
   std::int64_t decisions = 0;     ///< branching decisions
@@ -84,13 +85,6 @@ struct SolverStats {
   std::int64_t long_propagations = 0;    ///< implications via long clauses
   std::int64_t blocker_hits = 0;         ///< watcher skipped via blocker lit
   std::int64_t watch_bytes_visited = 0;  ///< watcher-entry bytes scanned
-
-  // Tiered learnt-DB accounting (Options::lbd_reduce).
-  std::int64_t promoted_clauses = 0;  ///< local/tier2 -> better tier moves
-  std::int64_t demoted_clauses = 0;   ///< tier2 -> local aging demotions
-  std::int64_t tier_core = 0;         ///< gauge: learnt clauses in core
-  std::int64_t tier_tier2 = 0;        ///< gauge: learnt clauses in tier2
-  std::int64_t tier_local = 0;        ///< gauge: learnt clauses in local
 
   // Encoding-lifecycle accounting (Solver::retire).
   std::int64_t retired_scopes = 0;   ///< retire() calls that found a scope
@@ -157,18 +151,28 @@ struct SolverStats {
   void forEachField(F&& f) const {
 #define MSU_STATS_VISIT(name) f(#name, name);
     MSU_SOLVER_STATS_FIELDS(MSU_STATS_VISIT)
+    MSU_SOLVER_STATS_GAUGES(MSU_STATS_VISIT)
 #undef MSU_STATS_VISIT
     f("restart_mode", restart_mode);
   }
 
-  /// Field-wise sum. The `tier_*` gauges are included on purpose —
-  /// summing them across solvers yields the combined live-clause
-  /// population — but `restart_mode` is a categorical gauge (a mode
-  /// enum, not a quantity): merges keep the receiver's value, so a
-  /// portfolio merge reports the decisive worker's mode.
+  /// True iff the forEachField name `name` is a gauge (a current level)
+  /// rather than a monotone counter.
+  [[nodiscard]] static bool isGauge(std::string_view name) {
+#define MSU_STATS_IS(field) name == #field ||
+    return MSU_SOLVER_STATS_GAUGES(MSU_STATS_IS) name == "restart_mode";
+#undef MSU_STATS_IS
+  }
+
+  /// Field-wise sum. The `mem_*` gauges are included on purpose —
+  /// summing them across solvers yields the combined footprint — but
+  /// `restart_mode` is a categorical gauge (a mode enum, not a
+  /// quantity): merges keep the receiver's value, so a portfolio merge
+  /// reports the decisive worker's mode.
   SolverStats& operator+=(const SolverStats& o) {
 #define MSU_STATS_ADD(name) name += o.name;
     MSU_SOLVER_STATS_FIELDS(MSU_STATS_ADD)
+    MSU_SOLVER_STATS_GAUGES(MSU_STATS_ADD)
 #undef MSU_STATS_ADD
     return *this;
   }

@@ -493,10 +493,12 @@ TEST(SolveService, MetricsRegistryReflectsCompletedJobs) {
   EXPECT_EQ(registry.histogram("msu_svc_job_queue_us").count(), 2);
   EXPECT_EQ(registry.histogram("msu_svc_job_solve_us").count(), 2);
   // Oracle-call latency flows in from the engines' OracleSessions, and
-  // the absorbed SolverStats counters land under msu_solver_*.
+  // the absorbed SolverStats counters land under msu_solver_*; the
+  // fields SolverStats::isGauge names become gauges.
   EXPECT_GT(registry.histogram("msu_oracle_solve_us").count(), 0);
   EXPECT_GT(registry.counter("msu_solver_conflicts_total").value(), 0);
   EXPECT_GT(registry.counter("msu_solver_solves_total").value(), 0);
+  EXPECT_GT(registry.gauge("msu_solver_mem_bytes").value(), 0);
 }
 
 TEST(SolveService, MemGaugeAggregatesRunningJobs) {
