@@ -25,6 +25,14 @@
 /// Both legs must agree on the parsed formula (clause/var counts and a
 /// literal checksum) — the driver aborts otherwise. Records carry no
 /// sat_calls counter on purpose: the ab gate must compare raw wall.
+///
+/// One unpaired record follows the A/B cases (the ab gate skips it):
+///  * preprocess-wcnf — the parse-wcnf document, fast-parsed once, then
+///    through preprocessWcnf; wall, MB/s and a checksum of the result.
+///    At --target-mb >= 16 the driver exits 1 when it takes more than
+///    kMaxPreprocessToParse times parse-wcnf/on's wall (bench/README.md
+///    "Decision record: huge-instance ingest"); smaller runs only print
+///    the ratio.
 
 #include <chrono>
 #include <cmath>
@@ -36,6 +44,7 @@
 #include <functional>
 #include <iomanip>
 #include <iostream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -43,6 +52,7 @@
 #include "bench_json.h"
 #include "cnf/dimacs.h"
 #include "cnf/fastparse.h"
+#include "core/preprocess.h"
 #include "gen/bigfile.h"
 #include "obs/metrics.h"
 #include "pbo/opb.h"
@@ -51,6 +61,11 @@
 namespace {
 
 using namespace msu;
+
+/// preprocess-wcnf may take at most this multiple of parse-wcnf/on's
+/// wall on the same document (enforced at --target-mb >= 16).
+constexpr double kMaxPreprocessToParse = 6.0;
+constexpr double kGateMinMb = 16.0;
 
 struct RunOut {
   double secs = 0.0;
@@ -119,12 +134,38 @@ RunOut outOfSolver(double secs, const Solver& s) {
   return out;
 }
 
-std::vector<Case> buildCases(std::int64_t targetBytes,
+/// preprocessWcnf over the fast-parsed document, best of `reps`. The
+/// checksum covers the simplified formula and every statistic.
+RunOut preprocessLeg(const std::string& wcnfText, int reps) {
+  const WcnfFormula f = parseDimacsWcnf(wcnfText);
+  RunOut best;
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const PreprocessResult pre = preprocessWcnf(f);
+    const double secs = since(t0);
+    if (r > 0 && secs >= best.secs) continue;
+    best.secs = secs;
+    best.vars = f.numVars();
+    best.clauses = pre.simplified
+                       ? pre.simplified->numHard() + pre.simplified->numSoft()
+                       : 0;
+    best.memBytes = pre.simplified ? pre.simplified->memBytesEstimate() : 0;
+    std::int64_t h = pre.simplified ? checksumWcnf(*pre.simplified) : 0;
+    for (const std::int64_t x :
+         {pre.forcedCost, std::int64_t{pre.fixedVars},
+          std::int64_t{pre.removedHard}, std::int64_t{pre.removedSoft},
+          std::int64_t{pre.mergedSoft}}) {
+      h = h * 31 + x;
+    }
+    best.checksum = h;
+  }
+  return best;
+}
+
+std::vector<Case> buildCases(const BigFileParams& p,
+                             std::shared_ptr<const std::string> wcnfText,
                              const std::string& tmpDir) {
-  BigFileParams p;
-  p.target_bytes = targetBytes;
   const auto cnfText = std::make_shared<std::string>(makeBigCnfText(p));
-  const auto wcnfText = std::make_shared<std::string>(makeBigWcnfText(p));
   const auto opbText = std::make_shared<std::string>(makeBigOpbText(p));
 
   const std::string cnfPath = tmpDir + "/bench_parse_big.cnf";
@@ -243,8 +284,11 @@ int main(int argc, char** argv) {
   }
 
   const std::string tmpDir = std::filesystem::temp_directory_path().string();
-  const auto targetBytes = static_cast<std::int64_t>(targetMb * 1048576.0);
-  const std::vector<Case> cases = buildCases(targetBytes, tmpDir);
+  BigFileParams params;
+  params.target_bytes = static_cast<std::int64_t>(targetMb * 1048576.0);
+  const auto wcnfText =
+      std::make_shared<const std::string>(makeBigWcnfText(params));
+  const std::vector<Case> cases = buildCases(params, wcnfText, tmpDir);
   std::vector<benchjson::BenchRecord> records;
 
   std::cout << std::left << std::setw(16) << "case" << std::right
@@ -296,11 +340,46 @@ int main(int argc, char** argv) {
   std::cout << "\ngeomean fastparse speedup: " << std::setprecision(2)
             << std::exp(logSum / static_cast<double>(cases.size())) << "x\n";
 
+  const RunOut pre = preprocessLeg(*wcnfText, reps);
+  const double wcnfMb = static_cast<double>(wcnfText->size()) / 1048576.0;
+  const double mbPerSec = wcnfMb / pre.secs;
+  benchjson::BenchRecord preRec;
+  preRec.name = "preprocess-wcnf";
+  preRec.wallMs = pre.secs * 1e3;
+  preRec.reps = reps;
+  preRec.counters = {
+      {"bytes", static_cast<std::int64_t>(wcnfText->size())},
+      {"clauses", pre.clauses},
+      {"vars", pre.vars},
+      {"mem_bytes", pre.memBytes},
+      {"mb_per_s", std::llround(mbPerSec)},
+      {"checksum", pre.checksum},
+      {"peak_rss_bytes", obs::peakRssBytes()},
+  };
+  records.push_back(preRec);
+  double parseWcnfMs = 0.0;
+  for (const benchjson::BenchRecord& r : records) {
+    if (r.name == "parse-wcnf/on") parseWcnfMs = r.wallMs;
+  }
+  const double ratio = preRec.wallMs / parseWcnfMs;
+  const bool gated = targetMb >= kGateMinMb;
+  std::cout << "preprocess-wcnf: " << std::setprecision(2) << preRec.wallMs
+            << " ms (" << std::setprecision(1) << mbPerSec << " MB/s), "
+            << std::setprecision(2) << ratio << "x parse-wcnf/on (limit "
+            << kMaxPreprocessToParse << "x"
+            << (gated ? ")" : ", not enforced below 16 MB)") << '\n';
+
   std::remove((tmpDir + "/bench_parse_big.cnf").c_str());
 
   if (json) {
     if (!benchjson::writeJsonFile(jsonPath, "parse", records)) return 1;
     std::cout << "wrote " << jsonPath << '\n';
+  }
+  if (gated && ratio > kMaxPreprocessToParse) {
+    std::cerr << "FAIL: preprocessWcnf took " << ratio
+              << "x parse-wcnf/on's wall (limit " << kMaxPreprocessToParse
+              << "x)\n";
+    return 1;
   }
   return 0;
 }

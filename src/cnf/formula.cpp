@@ -1,7 +1,6 @@
 #include "cnf/formula.h"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 namespace msu {
@@ -50,11 +49,16 @@ int CnfFormula::numSatisfied(const Assignment& a) const {
 
 CnfFormula CnfFormula::normalized() const {
   CnfFormula out(num_vars_);
-  std::set<Clause> seen;
+  ClauseIdTable seen;
+  const auto litsOf = [&](ClauseIdTable::Id i) -> const Clause& {
+    return out.clauses_[i];
+  };
+  Clause scratch;
   for (const Clause& c : clauses_) {
-    if (isTautology(c)) continue;
-    Clause n = normalizedClause(c);
-    if (seen.insert(n).second) out.addClause(std::move(n));
+    scratch.assign(c.begin(), c.end());
+    if (!normalizeClause(scratch)) continue;
+    const auto id = static_cast<ClauseIdTable::Id>(out.clauses_.size());
+    if (seen.insert(scratch, id, litsOf) == id) out.addClause(scratch);
   }
   return out;
 }
@@ -65,20 +69,41 @@ std::string CnfFormula::summary() const {
   return os.str();
 }
 
-bool isTautology(std::span<const Lit> lits) {
-  Clause sorted(lits.begin(), lits.end());
-  std::sort(sorted.begin(), sorted.end());
-  for (std::size_t i = 1; i < sorted.size(); ++i) {
-    if (sorted[i] == ~sorted[i - 1]) return true;
+bool normalizeClause(Clause& lits) {
+  std::sort(lits.begin(), lits.end());
+  // Sorted by code (2 * var + sign), so duplicates and a literal's
+  // complement sit next to it.
+  std::size_t j = 0;
+  for (const Lit p : lits) {
+    if (j > 0 && p == lits[j - 1]) continue;
+    if (j > 0 && p == ~lits[j - 1]) return false;
+    lits[j++] = p;
   }
-  return false;
+  lits.resize(j);
+  return true;
 }
 
-Clause normalizedClause(std::span<const Lit> lits) {
-  Clause out(lits.begin(), lits.end());
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+std::uint32_t ClauseIdTable::hashOf(std::span<const Lit> lits) {
+  std::uint64_t h = lits.size();
+  for (const Lit p : lits) {
+    h = (h ^ static_cast<std::uint32_t>(p.index())) * 0x9e3779b97f4a7c15ULL;
+  }
+  // splitmix64's finalizer: the slot index takes the low bits.
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  return static_cast<std::uint32_t>(h ^ (h >> 31));
+}
+
+void ClauseIdTable::grow() {
+  std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
+  old.swap(slots_);
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (s.id == kNoId) continue;
+    std::size_t i = s.hash & mask;
+    while (slots_[i].id != kNoId) i = (i + 1) & mask;
+    slots_[i] = s;
+  }
 }
 
 }  // namespace msu

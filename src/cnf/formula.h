@@ -1,9 +1,12 @@
 /// \file formula.h
 /// \brief Plain CNF formulas: a clause container plus light structural
-///        utilities (normalization, evaluation, statistics).
+///        utilities (normalization, deduplication, evaluation,
+///        statistics).
 
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -105,10 +108,69 @@ class CnfFormula {
   std::vector<Clause> clauses_;
 };
 
-/// True iff `lits` contains both a literal and its complement.
-[[nodiscard]] bool isTautology(std::span<const Lit> lits);
+/// Sorts `lits` in place and collapses duplicate literals. Returns false
+/// when the clause is a tautology (holds a literal and its complement);
+/// `lits` is then left in an unspecified order.
+[[nodiscard]] bool normalizeClause(Clause& lits);
 
-/// Sorted, duplicate-free copy of `lits` (tautologies are *not* detected).
-[[nodiscard]] Clause normalizedClause(std::span<const Lit> lits);
+/// Open-addressed set of clause ids, for deduplicating normalized
+/// clauses without a second copy of their literals. A slot holds an id
+/// and its clause's hash; the literals stay with the caller, and a hash
+/// match is confirmed against `litsOf(id)`, a callable returning the
+/// literals stored under `id` (any range of Lit).
+class ClauseIdTable {
+ public:
+  using Id = std::uint32_t;
+  static constexpr Id kNoId = ~Id{0};
+
+  /// The id stored for a clause equal to `lits` if there is one;
+  /// otherwise stores `id` for `lits` and returns `id`.
+  template <class LitsOf>
+  Id insert(std::span<const Lit> lits, Id id, const LitsOf& litsOf) {
+    assert(id != kNoId);
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    const std::uint32_t hash = hashOf(lits);
+    Slot& slot = slots_[slotOf(lits, hash, litsOf)];
+    if (slot.id != kNoId) return slot.id;
+    slot = Slot{hash, id};
+    ++size_;
+    return id;
+  }
+
+  /// Number of stored ids.
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+  /// Number of slots (a power of two, at least twice size()).
+  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+
+ private:
+  struct Slot {
+    std::uint32_t hash = 0;
+    Id id = kNoId;
+  };
+
+  /// Hash of a literal sequence (order-sensitive; keys are normalized).
+  [[nodiscard]] static std::uint32_t hashOf(std::span<const Lit> lits);
+
+  /// Index of the slot holding `lits`, or of the empty slot ending its
+  /// probe sequence.
+  template <class LitsOf>
+  [[nodiscard]] std::size_t slotOf(std::span<const Lit> lits,
+                                   std::uint32_t hash,
+                                   const LitsOf& litsOf) const {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+      const Slot& s = slots_[i];
+      if (s.id == kNoId) return i;
+      if (s.hash == hash && std::ranges::equal(litsOf(s.id), lits)) return i;
+    }
+  }
+
+  /// Doubles the slot array and re-places every id by its stored hash.
+  void grow();
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+};
 
 }  // namespace msu

@@ -25,12 +25,16 @@ void WcnfFormula::addHard(std::span<const Lit> lits) {
 }
 
 void WcnfFormula::addSoft(std::span<const Lit> lits, Weight weight) {
+  addSoft(Clause(lits.begin(), lits.end()), weight);
+}
+
+void WcnfFormula::addSoft(Clause&& lits, Weight weight) {
   assert(weight > 0);
   for (Lit p : lits) {
     assert(p.defined());
     ensureVars(p.var() + 1);
   }
-  soft_.push_back(SoftClause{Clause(lits.begin(), lits.end()), weight});
+  soft_.push_back(SoftClause{std::move(lits), weight});
 }
 
 bool WcnfFormula::isUnweighted() const {

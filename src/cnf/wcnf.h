@@ -66,6 +66,7 @@ class WcnfFormula {
 
   /// Appends a soft clause with the given (positive) weight.
   void addSoft(std::span<const Lit> lits, Weight weight = 1);
+  void addSoft(Clause&& lits, Weight weight = 1);
   void addSoft(std::initializer_list<Lit> lits, Weight weight = 1) {
     addSoft(std::span<const Lit>(lits.begin(), lits.size()), weight);
   }

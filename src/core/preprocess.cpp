@@ -1,96 +1,110 @@
 #include "core/preprocess.h"
 
 #include <algorithm>
-#include <map>
 
 #include "sat/solver.h"
 
 namespace msu {
 
-PreprocessResult preprocessWcnf(const WcnfFormula& formula) {
-  PreprocessResult result;
-  result.forced.assign(static_cast<std::size_t>(formula.numVars()),
-                       lbool::Undef);
+namespace {
 
-  // Unit-propagate the hard clauses at level 0.
+/// Root-level unit propagation over the hard clauses: every variable's
+/// forced value (Undef where free), or nullopt when propagation refutes
+/// them. The solver and its arena live only inside this call.
+std::optional<Assignment> propagateHard(const WcnfFormula& formula) {
   Solver up;
   while (up.numVars() < formula.numVars()) static_cast<void>(up.newVar());
-  bool hardRefuted = false;
-  for (const Clause& h : formula.hard()) {
-    if (!up.addClause(h)) {
-      hardRefuted = true;
-      break;
+  {
+    Solver::BulkLoadGuard bulk(up);
+    for (const Clause& h : formula.hard()) {
+      if (!up.addClause(h)) break;
     }
   }
-  if (hardRefuted) return result;  // simplified unset
-
+  if (!up.okay()) return std::nullopt;
+  Assignment forced(static_cast<std::size_t>(formula.numVars()));
   for (Var v = 0; v < formula.numVars(); ++v) {
-    const lbool val = up.value(v);
-    if (val != lbool::Undef) {
-      result.forced[static_cast<std::size_t>(v)] = val;
-      ++result.fixedVars;
-    }
+    forced[static_cast<std::size_t>(v)] = up.value(v);
   }
+  return forced;
+}
 
-  auto litValue = [&](Lit p) {
-    return applySign(result.forced[static_cast<std::size_t>(p.var())], p);
-  };
+}  // namespace
 
-  /// Applies the forced values to a clause. Returns nullopt when the
-  /// clause is satisfied; otherwise the reduced, normalized literal set
-  /// (empty = falsified).
-  auto reduce = [&](const Clause& c) -> std::optional<Clause> {
-    Clause out;
-    for (Lit p : c) {
-      const lbool v = litValue(p);
-      if (v == lbool::True) return std::nullopt;
-      if (v == lbool::Undef) out.push_back(p);
+PreprocessResult preprocessWcnf(const WcnfFormula& formula) {
+  PreprocessResult result;
+  std::optional<Assignment> forced = propagateHard(formula);
+  if (!forced) {
+    result.forced.assign(static_cast<std::size_t>(formula.numVars()),
+                         lbool::Undef);
+    return result;  // simplified unset
+  }
+  result.forced = std::move(*forced);
+  result.fixedVars = static_cast<int>(
+      std::ranges::count_if(result.forced,
+                            [](lbool v) { return v != lbool::Undef; }));
+
+  /// Applies the forced values to `c` into `scratch` and normalizes it.
+  /// Returns false when the clause is satisfied or a tautology; an
+  /// empty `scratch` means falsified.
+  Clause scratch;
+  auto reduce = [&](const Clause& c) {
+    scratch.clear();
+    for (const Lit p : c) {
+      const lbool v =
+          applySign(result.forced[static_cast<std::size_t>(p.var())], p);
+      if (v == lbool::True) return false;
+      if (v == lbool::Undef) scratch.push_back(p);
     }
-    if (isTautology(out)) return std::nullopt;
-    return normalizedClause(out);
+    return normalizeClause(scratch);
   };
 
   WcnfFormula simplified(formula.numVars());
 
-  // Hard clauses: reduce and de-duplicate.
-  std::map<Clause, bool> seenHard;
-  for (const Clause& h : formula.hard()) {
-    const std::optional<Clause> r = reduce(h);
-    if (!r) {
-      ++result.removedHard;
-      continue;
+  // Hard clauses: reduce and de-duplicate. The table keys on the output
+  // clauses themselves. A falsified hard clause would have refuted
+  // propagation above.
+  {
+    ClauseIdTable seen;
+    const auto litsOf = [&](ClauseIdTable::Id i) -> const Clause& {
+      return simplified.hard()[i];
+    };
+    for (const Clause& h : formula.hard()) {
+      const auto id = static_cast<ClauseIdTable::Id>(simplified.numHard());
+      if (!reduce(h) || seen.insert(scratch, id, litsOf) != id) {
+        ++result.removedHard;
+        continue;
+      }
+      simplified.addHard(scratch);
     }
-    // A falsified hard clause would have refuted UP above.
-    if (!seenHard.emplace(*r, true).second) {
-      ++result.removedHard;
-      continue;
-    }
-    simplified.addHard(*r);
   }
 
-  // Soft clauses: reduce, charge falsified ones, merge duplicates.
-  std::map<Clause, std::size_t> softIndex;
+  // Soft clauses: reduce, charge falsified ones, merge duplicates into
+  // their first occurrence.
   std::vector<SoftClause> softOut;
+  ClauseIdTable seen;
+  const auto litsOf = [&](ClauseIdTable::Id i) -> const Clause& {
+    return softOut[i].lits;
+  };
   for (const SoftClause& s : formula.soft()) {
-    const std::optional<Clause> r = reduce(s.lits);
-    if (!r) {
+    if (!reduce(s.lits)) {
       ++result.removedSoft;
       continue;
     }
-    if (r->empty()) {
+    if (scratch.empty()) {
       result.forcedCost += s.weight;
       ++result.removedSoft;
       continue;
     }
-    if (auto it = softIndex.find(*r); it != softIndex.end()) {
-      softOut[it->second].weight += s.weight;
+    const auto id = static_cast<ClauseIdTable::Id>(softOut.size());
+    if (const ClauseIdTable::Id first = seen.insert(scratch, id, litsOf);
+        first != id) {
+      softOut[first].weight += s.weight;
       ++result.mergedSoft;
       continue;
     }
-    softIndex.emplace(*r, softOut.size());
-    softOut.push_back(SoftClause{*r, s.weight});
+    softOut.push_back(SoftClause{scratch, s.weight});
   }
-  for (const SoftClause& s : softOut) simplified.addSoft(s.lits, s.weight);
+  for (SoftClause& s : softOut) simplified.addSoft(std::move(s.lits), s.weight);
 
   result.simplified = std::move(simplified);
   return result;

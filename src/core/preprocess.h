@@ -11,7 +11,10 @@
 ///        * tautology removal (hard and soft);
 ///        * duplicate-soft merging (weights add up);
 ///        * duplicate-hard removal.
-///        Fixed variables are reported for model completion.
+///        Fixed variables are reported for model completion. It is one
+///        flat pass: each clause is reduced into a scratch buffer,
+///        normalized in place (normalizeClause) and de-duplicated
+///        through a ClauseIdTable keyed on the output clauses.
 ///
 ///        simplifyHard is SatELite (Eén & Biere, SAT 2005; shipped with
 ///        MiniSat 1.14, the paper's substrate) on the hard clauses only:
@@ -57,6 +60,16 @@ struct PreprocessResult {
 /// opt(original) == forcedCost + opt(simplified), and any model of the
 /// simplified instance extended with `forced` is a model of the
 /// original with that cost.
+///
+/// Output contract (pinned by Preprocess.MatchesTheMapBasedReference-
+/// Exactly in extensions_test):
+/// * every output clause has its literals sorted, without duplicates;
+/// * hard and soft clauses come out in order of first occurrence of
+///   their reduced form;
+/// * a merged soft keeps its first occurrence's position and carries
+///   the sum of the merged weights;
+/// * `forced` is the root-level unit-propagation fixpoint of the hard
+///   clauses, which does not depend on clause order.
 [[nodiscard]] PreprocessResult preprocessWcnf(const WcnfFormula& formula);
 
 /// Lifts an engine result on `pre.simplified` to the original instance:

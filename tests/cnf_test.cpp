@@ -83,6 +83,55 @@ TEST(CnfFormula, NormalizedRemovesTautologiesAndDuplicates) {
   EXPECT_EQ(n.clause(0).size(), 2u);
 }
 
+TEST(CnfFormula, NormalizeClauseSortsCollapsesAndFlagsTautologies) {
+  Clause c{posLit(2), negLit(0), posLit(2), posLit(1)};
+  ASSERT_TRUE(normalizeClause(c));
+  EXPECT_EQ(c, (Clause{negLit(0), posLit(1), posLit(2)}));
+  Clause t{posLit(1), negLit(0), posLit(0), posLit(0)};
+  EXPECT_FALSE(normalizeClause(t));
+  Clause empty;
+  EXPECT_TRUE(normalizeClause(empty));
+  EXPECT_TRUE(empty.empty());
+}
+
+TEST(ClauseIdTable, EveryIdRoundTripsAcrossGrowthSteps) {
+  // Distinct normalized clauses: the first literal names the clause.
+  std::vector<Clause> stored;
+  ClauseIdTable table;
+  const auto litsOf = [&](ClauseIdTable::Id i) -> const Clause& {
+    return stored[i];
+  };
+  std::vector<std::size_t> capacities;
+  for (int i = 0; i < 3000; ++i) {
+    Clause c{posLit(i), negLit(3000 + i % 7), posLit(4000 + i % 5)};
+    ASSERT_TRUE(normalizeClause(c));
+    const auto id = static_cast<ClauseIdTable::Id>(stored.size());
+    ASSERT_EQ(table.insert(c, id, litsOf), id);
+    stored.push_back(c);
+    if (capacities.empty() || capacities.back() != table.capacity()) {
+      capacities.push_back(table.capacity());
+    }
+    ASSERT_GE(table.capacity(), 2 * table.size());
+  }
+  EXPECT_GE(capacities.size(), 5u);
+  EXPECT_EQ(table.size(), stored.size());
+  // A reordered copy normalizes to the same key and returns the stored
+  // id instead of the offered one.
+  const auto offered = static_cast<ClauseIdTable::Id>(stored.size());
+  for (std::size_t i = 0; i < stored.size(); ++i) {
+    Clause copy(stored[i].rbegin(), stored[i].rend());
+    ASSERT_TRUE(normalizeClause(copy));
+    EXPECT_EQ(table.insert(copy, offered, litsOf), i);
+  }
+  EXPECT_EQ(table.size(), stored.size());
+  // A clause sharing every literal but one is a new key.
+  Clause near{posLit(0), negLit(3000), posLit(4001)};
+  ASSERT_TRUE(normalizeClause(near));
+  stored.push_back(near);
+  EXPECT_EQ(table.insert(near, offered, litsOf), offered);
+  EXPECT_EQ(table.size(), stored.size());
+}
+
 TEST(CnfFormula, EmptyClauseAllowed) {
   CnfFormula f;
   f.addClause(std::initializer_list<Lit>{});

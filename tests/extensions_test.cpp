@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <random>
+#include <set>
 
 #include "cnf/oracle.h"
 #include "core/core_trim.h"
@@ -258,6 +261,198 @@ TEST(Preprocess, OptimumIsPreserved) {
               r.forcedCost + *simplifiedTruth.optimumCost)
         << "round " << round;
   }
+}
+
+/// preprocessWcnf as it was specified before the flat rewrite: naive
+/// unit propagation to a fixpoint, then std::map-keyed de-duplication
+/// of sorted literal copies. The differential test below pins the real
+/// one to this, field by field.
+PreprocessResult referencePreprocess(const WcnfFormula& w) {
+  const auto n = static_cast<std::size_t>(w.numVars());
+  PreprocessResult r;
+  r.forced.assign(n, lbool::Undef);
+  auto litValue = [&](Lit p) {
+    return applySign(r.forced[static_cast<std::size_t>(p.var())], p);
+  };
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const Clause& c : w.hard()) {
+      std::set<Lit> open;
+      bool sat = false;
+      for (const Lit p : c) {
+        sat |= litValue(p) == lbool::True;
+        if (litValue(p) == lbool::Undef) open.insert(p);
+      }
+      if (sat) continue;
+      if (open.empty()) {
+        r.forced.assign(n, lbool::Undef);
+        return r;  // refuted
+      }
+      if (open.size() == 1) {
+        const Lit p = *open.begin();
+        r.forced[static_cast<std::size_t>(p.var())] = toLbool(p.positive());
+        changed = true;
+      }
+    }
+  }
+  r.fixedVars = static_cast<int>(n) -
+                static_cast<int>(std::ranges::count(r.forced, lbool::Undef));
+
+  auto reduce = [&](const Clause& c) -> std::optional<Clause> {
+    Clause out;
+    for (const Lit p : c) {
+      if (litValue(p) == lbool::True) return std::nullopt;
+      if (litValue(p) == lbool::Undef) out.push_back(p);
+    }
+    std::ranges::sort(out);
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    for (std::size_t i = 1; i < out.size(); ++i) {
+      if (out[i] == ~out[i - 1]) return std::nullopt;
+    }
+    return out;
+  };
+  WcnfFormula simplified(w.numVars());
+  std::map<Clause, bool> seenHard;
+  for (const Clause& h : w.hard()) {
+    const std::optional<Clause> c = reduce(h);
+    if (!c || !seenHard.emplace(*c, true).second) {
+      ++r.removedHard;
+      continue;
+    }
+    simplified.addHard(*c);
+  }
+  std::map<Clause, std::size_t> softIndex;
+  std::vector<SoftClause> softOut;
+  for (const SoftClause& s : w.soft()) {
+    const std::optional<Clause> c = reduce(s.lits);
+    if (!c || c->empty()) {
+      if (c) r.forcedCost += s.weight;
+      ++r.removedSoft;
+      continue;
+    }
+    if (auto it = softIndex.find(*c); it != softIndex.end()) {
+      softOut[it->second].weight += s.weight;
+      ++r.mergedSoft;
+      continue;
+    }
+    softIndex.emplace(*c, softOut.size());
+    softOut.push_back(SoftClause{*c, s.weight});
+  }
+  for (const SoftClause& s : softOut) simplified.addSoft(s.lits, s.weight);
+  r.simplified = std::move(simplified);
+  return r;
+}
+
+/// A WCNF built to hit every branch of preprocessWcnf: hard units and
+/// implications a hidden assignment satisfies, duplicate literals,
+/// tautologies, clauses that turn empty, satisfied or into duplicates
+/// only once the forced literals are applied, and the same clause
+/// reordered as hard and as soft at different weights. One round in
+/// eight adds a hard unit against the hidden assignment, which usually
+/// refutes the hard clauses.
+WcnfFormula duplicateHeavyWcnf(std::mt19937_64& rng) {
+  const int vars = 6 + static_cast<int>(rng() % 14);
+  auto below = [&](int n) {
+    return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+  };
+  std::vector<bool> hidden(static_cast<std::size_t>(vars));
+  for (std::size_t v = 0; v < hidden.size(); ++v) hidden[v] = (rng() & 1) != 0;
+  auto truthful = [&](Var v) { return Lit(v, !hidden[v]); };
+  auto weight = [&] { return Weight{1} + below(5); };
+  auto shuffled = [&](Clause c) {
+    std::shuffle(c.begin(), c.end(), rng);
+    return c;
+  };
+
+  WcnfFormula w(vars);
+  for (int i = 0, units = 1 + below(3); i < units; ++i) {
+    w.addHard({truthful(below(vars))});
+  }
+  if (below(8) == 0) w.addHard({~truthful(0)});
+
+  std::vector<Clause> pool(static_cast<std::size_t>(10 + below(20)));
+  for (Clause& c : pool) {
+    for (int k = 0, len = 1 + below(4); k < len; ++k) {
+      c.push_back(Lit(below(vars), below(2) == 1));
+    }
+    if (below(5) == 0) c.push_back(c[0]);   // duplicate literal
+    if (below(9) == 0) c.push_back(~c[0]);  // tautology
+  }
+  for (int i = 0, n = 15 + below(30); i < n; ++i) {
+    Clause c = pool[rng() % pool.size()];
+    switch (below(4)) {
+      case 0:
+        // Hard, made true under the hidden assignment; sometimes twice.
+        c.push_back(truthful(c[0].var()));
+        w.addHard(shuffled(c));
+        if (below(3) == 0) w.addHard(shuffled(c));
+        break;
+      case 1:
+        // Soft, possibly falsified by the forced values.
+        w.addSoft(shuffled(c), weight());
+        break;
+      case 2:
+        // Soft, repeated at other weights.
+        for (int k = 0, copies = 2 + below(2); k < copies; ++k) {
+          w.addSoft(shuffled(c), weight());
+        }
+        break;
+      default:
+        // Soft, plus a copy widened by a literal the hidden assignment
+        // falsifies: a duplicate once that literal is forced.
+        w.addSoft(shuffled(c), weight());
+        c.push_back(~truthful(below(vars)));
+        w.addSoft(shuffled(c), weight());
+        break;
+    }
+  }
+  return w;
+}
+
+TEST(Preprocess, MatchesTheMapBasedReferenceExactly) {
+  std::mt19937_64 rng(15);
+  PreprocessResult totals;
+  int refuted = 0;
+  for (int round = 0; round < 400; ++round) {
+    const WcnfFormula w = duplicateHeavyWcnf(rng);
+    const PreprocessResult want = referencePreprocess(w);
+    const PreprocessResult got = preprocessWcnf(w);
+    ASSERT_EQ(got.simplified.has_value(), want.simplified.has_value())
+        << "round " << round;
+    EXPECT_EQ(got.forced, want.forced) << "round " << round;
+    EXPECT_EQ(got.forcedCost, want.forcedCost) << "round " << round;
+    EXPECT_EQ(got.fixedVars, want.fixedVars) << "round " << round;
+    EXPECT_EQ(got.removedHard, want.removedHard) << "round " << round;
+    EXPECT_EQ(got.removedSoft, want.removedSoft) << "round " << round;
+    EXPECT_EQ(got.mergedSoft, want.mergedSoft) << "round " << round;
+    if (!want.simplified) {
+      ++refuted;
+      continue;
+    }
+    EXPECT_EQ(got.simplified->numVars(), want.simplified->numVars());
+    EXPECT_EQ(got.simplified->hard(), want.simplified->hard())
+        << "round " << round;
+    ASSERT_EQ(got.simplified->numSoft(), want.simplified->numSoft())
+        << "round " << round;
+    for (std::size_t i = 0; i < want.simplified->soft().size(); ++i) {
+      const SoftClause& g = got.simplified->soft()[i];
+      const SoftClause& e = want.simplified->soft()[i];
+      EXPECT_EQ(g.lits, e.lits) << "round " << round << " soft " << i;
+      EXPECT_EQ(g.weight, e.weight) << "round " << round << " soft " << i;
+    }
+    totals.forcedCost += want.forcedCost;
+    totals.fixedVars += want.fixedVars;
+    totals.removedHard += want.removedHard;
+    totals.removedSoft += want.removedSoft;
+    totals.mergedSoft += want.mergedSoft;
+  }
+  // Every path was taken.
+  EXPECT_GT(refuted, 0);
+  EXPECT_GT(totals.forcedCost, 0);
+  EXPECT_GT(totals.fixedVars, 0);
+  EXPECT_GT(totals.removedHard, 0);
+  EXPECT_GT(totals.removedSoft, 0);
+  EXPECT_GT(totals.mergedSoft, 0);
 }
 
 // ---- TPG ------------------------------------------------------------------
