@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   std::cout << "core-guided family ablation, " << suite.size()
             << " instances, timeout " << config.timeoutSeconds << " s\n\n";
 
-  const std::vector<std::string> solvers{"msu1", "msu3", "msu4-v2", "linear",
+  const std::vector<std::string> solvers{"msu1", "msu3", "msu4-v2", "wlinear",
                                          "binary"};
   const std::vector<RunRecord> records = runMatrix(solvers, suite, config);
   printAbortedTable(std::cout, records, solvers,

@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include "cnf/formula.h"
-#include "encodings/amo.h"
 #include "encodings/cardinality.h"
 #include "encodings/pb.h"
 #include "encodings/sink.h"
@@ -91,40 +90,12 @@ void BM_Amo_Ladder(benchmark::State& s) {
     encodeAtMostOneLadder(sink, lits, act);
   });
 }
-void BM_Amo_Commander(benchmark::State& s) {
-  encodeAmoBench(s, [](ClauseSink& sink, std::span<const Lit> lits,
-                       std::optional<Lit> act) {
-    encodeAtMostOneCommander(sink, lits, act);
-  });
-}
-void BM_Amo_Product(benchmark::State& s) {
-  encodeAmoBench(s, [](ClauseSink& sink, std::span<const Lit> lits,
-                       std::optional<Lit> act) {
-    encodeAtMostOneProduct(sink, lits, act);
-  });
-}
-void BM_Amo_Binary(benchmark::State& s) {
-  encodeAmoBench(s, [](ClauseSink& sink, std::span<const Lit> lits,
-                       std::optional<Lit> act) {
-    encodeAtMostOneBinary(sink, lits, act);
-  });
-}
-void BM_Amo_Bimander(benchmark::State& s) {
-  encodeAmoBench(s, [](ClauseSink& sink, std::span<const Lit> lits,
-                       std::optional<Lit> act) {
-    encodeAtMostOneBimander(sink, lits, act);
-  });
-}
 
 void amoArgs(benchmark::internal::Benchmark* b) {
   b->Arg(16)->Arg(64)->Arg(256);
 }
 BENCHMARK(BM_Amo_Pairwise)->Apply(amoArgs)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_Amo_Ladder)->Apply(amoArgs)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_Amo_Commander)->Apply(amoArgs)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_Amo_Product)->Apply(amoArgs)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_Amo_Binary)->Apply(amoArgs)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_Amo_Bimander)->Apply(amoArgs)->Unit(benchmark::kMicrosecond);
 
 void BM_PbLeq(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -9,6 +9,9 @@
 namespace msu {
 namespace {
 
+/// WalkSAT flips spent on the initial upper bound.
+constexpr std::int64_t kWalksatFlips = 20'000;
+
 /// Internal clause representation for the branch-and-bound search.
 struct BClause {
   Clause lits;
@@ -62,21 +65,18 @@ class BnbEngine {
     }
 
     ub_ = m + 1;
-    if (opts_.walksatInitialUb) {
-      WalkSatOptions wo;
-      wo.maxFlips = opts_.walksatFlips;
-      wo.restarts = 2;
-      wo.budget = opts_.budget;
-      const WalkSatResult ws = walksatMaxSat(formula_, wo);
-      if (ws.hardFeasible) {
-        ub_ = ws.bestCost;
-        bestModel_ = ws.model;
-      }
+    WalkSatOptions wo;
+    wo.maxFlips = kWalksatFlips;
+    wo.restarts = 2;
+    wo.budget = opts_.budget;
+    const WalkSatResult ws = walksatMaxSat(formula_, wo);
+    if (ws.hardFeasible) {
+      ub_ = ws.bestCost;
+      bestModel_ = ws.model;
     }
 
     // Root-level lower bound, reported when the budget runs out.
-    rootLb_ = static_cast<Weight>(falsifiedSoft_);
-    if (opts_.upLowerBound) rootLb_ += upUnderestimate();
+    rootLb_ = static_cast<Weight>(falsifiedSoft_) + upUnderestimate();
 
     // Seed hard unit clauses.
     for (std::size_t ci = 0; ci < clauses_.size(); ++ci) {
@@ -385,12 +385,10 @@ class BnbEngine {
       undoTo(mark);
       return false;
     }
-    if (opts_.upLowerBound) {
-      const int extra = upUnderestimate();
-      if (static_cast<Weight>(falsifiedSoft_ + extra) >= ub_) {
-        undoTo(mark);
-        return false;
-      }
+    const int extra = upUnderestimate();
+    if (static_cast<Weight>(falsifiedSoft_ + extra) >= ub_) {
+      undoTo(mark);
+      return false;
     }
 
     const Lit branch = pickBranchLit();

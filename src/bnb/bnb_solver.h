@@ -27,9 +27,6 @@ namespace msu {
 /// Options for the branch-and-bound engine.
 struct BnbOptions {
   Budget budget;
-  bool upLowerBound = true;     ///< UP-based disjoint-inconsistency bound
-  bool walksatInitialUb = true; ///< seed the upper bound with local search
-  std::int64_t walksatFlips = 20'000;  ///< effort for the initial bound
 };
 
 /// The maxsatz-like engine.

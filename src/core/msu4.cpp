@@ -99,9 +99,7 @@ MaxSatResult Msu4Solver::solve(const WcnfFormula& input) {
     ++result.coresFound;
     std::vector<Lit> coreLits = session.sat().core();
     if (opts_.trimCoreRounds > 0 && coreLits.size() > 1) {
-      CoreTrimOptions trimOpts;
-      trimOpts.trimRounds = opts_.trimCoreRounds;
-      coreLits = session.trimCore(std::move(coreLits), trimOpts);
+      coreLits = session.trimCore(std::move(coreLits), opts_.trimCoreRounds);
     }
     const std::vector<int> coreSoft = tracker.coreSoftIndices(coreLits);
     if (coreSoft.empty()) {

@@ -1,6 +1,6 @@
 /// \file wlinear.h
 /// \brief SAT–UNSAT linear search: the library's one model-improving
-///        engine, behind the `linear`, `wlinear*` and `pbo*` names.
+///        engine, behind the `wlinear*` and `pbo*` names.
 ///
 /// The search runs on the paper's PBO formulation of MaxSAT (§2.2):
 /// every soft clause `w_i` becomes `w_i ∨ b_i` with a fresh blocking
@@ -36,8 +36,8 @@ class OracleSession;
 enum class BoundEncoding {
   /// Unit-weight objectives go through IncrementalAtMost
   /// (MaxSatOptions::encoding, reuseEncodings); other objectives are
-  /// PB-encoded in a scope retired on each tightening. The `linear`,
-  /// `wlinear` and `wlinear-adder` engines.
+  /// PB-encoded in a scope retired on each tightening. The `wlinear`
+  /// and `wlinear-adder` engines.
   Mixed,
   /// Every objective is PB-encoded in a scope retired on each
   /// tightening: the paper's minisat+-style `pbo` column (`pbo`,

@@ -17,10 +17,10 @@
 namespace msu {
 
 std::vector<std::string> solverNames() {
-  return {"msu4-v1", "msu4-v2", "msu4-seq",  "msu4-tot", "msu4-cnet", "msu3",
-          "msu1",    "wmsu1",   "oll",       "bmo",       "linear",   "wlinear",
-          "wlinear-adder",      "binary",    "pbo",      "pbo-adder",
-          "maxsatz", "portfolio", "portfolio4", "cubes",  "cubes4"};
+  return {"msu4-v1", "msu4-v2",       "msu4-seq", "msu4-tot", "msu4-cnet",
+          "msu3",    "msu1",          "wmsu1",    "oll",      "bmo",
+          "wlinear", "wlinear-adder", "binary",   "pbo",      "pbo-adder",
+          "maxsatz", "portfolio",     "cubes"};
 }
 
 std::unique_ptr<MaxSatSolver> makeSolver(const std::string& name,
@@ -62,7 +62,7 @@ std::unique_ptr<MaxSatSolver> makeSolver(const std::string& name,
   if (name == "bmo") {
     return std::make_unique<BmoSolver>(o);
   }
-  if (name == "linear" || name == "wlinear") {
+  if (name == "wlinear") {
     return std::make_unique<WeightedLinearSolver>(o);
   }
   if (name == "wlinear-adder") {

@@ -14,20 +14,23 @@
 
 namespace msu {
 
-/// All engine names accepted by makeSolver().
+/// One name per engine accepted by makeSolver(), each building a
+/// distinct engine. makeSolver() also accepts "portfolioN" and "cubesN",
+/// which only pick a thread count for the listed "portfolio"/"cubes".
 [[nodiscard]] std::vector<std::string> solverNames();
 
 /// Creates an engine by name; nullptr for unknown names.
 ///
-/// Names: "msu4-v1", "msu4-v2", "msu4-seq", "msu4-tot", "msu3", "msu1",
-/// "linear", "binary", "pbo", "pbo-adder", "maxsatz", plus the parallel
-/// portfolio as "portfolio" (default thread count) or "portfolioN"
-/// (e.g. "portfolio4": N racing workers with clause sharing).
-/// "linear"/"wlinear", "wlinear-adder", "pbo" and "pbo-adder" are the
-/// one SAT–UNSAT linear search (core/wlinear.h): the default bound
-/// encoding with BDD or adder PB bounds, then the all-PB `pbo` one.
+/// Names: "msu4-v1", "msu4-v2", "msu4-seq", "msu4-tot", "msu4-cnet",
+/// "msu3", "msu1", "wmsu1", "oll", "bmo", "wlinear", "wlinear-adder",
+/// "binary", "pbo", "pbo-adder", "maxsatz", plus the parallel portfolio
+/// as "portfolio" (4 threads) or "portfolioN" (N racing workers with
+/// clause sharing) and cube-and-conquer as "cubes" or "cubesN".
+/// "wlinear", "wlinear-adder", "pbo" and "pbo-adder" are the one
+/// SAT–UNSAT linear search (core/wlinear.h): the default bound encoding
+/// with BDD or adder PB bounds, then the all-PB `pbo` one.
 /// `options.budget` applies to every engine; the cardinality-encoding
-/// option is overridden by names that pin one (msu4-v1/v2/seq/tot).
+/// option is overridden by names that pin one (msu4-v1/v2/seq/tot/cnet).
 [[nodiscard]] std::unique_ptr<MaxSatSolver> makeSolver(
     const std::string& name, const MaxSatOptions& options = {});
 

@@ -55,7 +55,7 @@ const std::vector<std::string>& PortfolioSolver::defaultEngines() {
   // exactly where the core-guided family stalls (near-threshold random
   // instances, weighted max-cut) — and only then further variants.
   static const std::vector<std::string> kEngines{
-      "msu4-v2", "msu3", "oll", "maxsatz", "linear", "msu4-v1", "binary"};
+      "msu4-v2", "msu3", "oll", "maxsatz", "wlinear", "msu4-v1", "binary"};
   return kEngines;
 }
 
@@ -66,9 +66,8 @@ bool PortfolioSolver::engineSharesSafely(const std::string& name) {
   // per-stratum instances whose hard clauses embed frozen bounds) and
   // "maxsatz" (no CDCL oracle to wire up).
   return name.rfind("msu4", 0) == 0 || name == "msu3" || name == "msu1" ||
-         name == "wmsu1" || name == "oll" || name == "linear" ||
-         name == "binary" || name.rfind("wlinear", 0) == 0 ||
-         name.rfind("pbo", 0) == 0;
+         name == "wmsu1" || name == "oll" || name == "binary" ||
+         name.rfind("wlinear", 0) == 0 || name.rfind("pbo", 0) == 0;
 }
 
 std::string PortfolioSolver::name() const {

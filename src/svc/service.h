@@ -87,7 +87,7 @@ struct SolveServiceOptions {
   std::optional<std::int64_t> max_service_mem_bytes;
 
   /// Engine name for every job (harness/factory.h names, e.g.
-  /// "msu4-v2", "oll", "linear"). One engine instance is built per job.
+  /// "msu4-v2", "oll", "wlinear"). One engine instance is built per job.
   std::string engine = "msu4-v2";
 
   /// Base options handed to every engine. The budget inside is ignored

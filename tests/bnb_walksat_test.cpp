@@ -33,32 +33,6 @@ TEST(Bnb, AgreesWithOracleOnRandomInstances) {
   }
 }
 
-TEST(Bnb, WithoutUpBoundStillCorrect) {
-  BnbOptions o;
-  o.upLowerBound = false;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const WcnfFormula w = randomPlain(8, 36, seed * 569);
-    const OracleResult truth = oracleMaxSat(w);
-    BnbSolver solver(o);
-    const MaxSatResult r = solver.solve(w);
-    ASSERT_EQ(r.status, MaxSatStatus::Optimum);
-    EXPECT_EQ(r.cost, *truth.optimumCost) << "seed " << seed;
-  }
-}
-
-TEST(Bnb, WithoutWalksatSeedStillCorrect) {
-  BnbOptions o;
-  o.walksatInitialUb = false;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const WcnfFormula w = randomPlain(8, 36, seed * 1013);
-    const OracleResult truth = oracleMaxSat(w);
-    BnbSolver solver(o);
-    const MaxSatResult r = solver.solve(w);
-    ASSERT_EQ(r.status, MaxSatStatus::Optimum);
-    EXPECT_EQ(r.cost, *truth.optimumCost) << "seed " << seed;
-  }
-}
-
 TEST(Bnb, PartialMaxSatWithHardClauses) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     // Build a partial instance with a satisfiable hard part.
@@ -97,7 +71,6 @@ TEST(Bnb, HardUnsatDetected) {
 TEST(Bnb, NodeBudgetAborts) {
   BnbOptions o;
   o.budget.setMaxNodes(50);
-  o.walksatInitialUb = false;
   BnbSolver solver(o);
   const WcnfFormula w = WcnfFormula::allSoft(pigeonhole(8, 7));
   const MaxSatResult r = solver.solve(w);

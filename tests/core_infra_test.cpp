@@ -1,20 +1,14 @@
 /// Tests for the core-module infrastructure: SoftTracker selector
-/// bookkeeping, IncrementalAtMost / AssumableAtMost reuse helpers, and
-/// the Proposition 1 & 2 bound utilities (disjoint cores / blocking
-/// upper bound).
+/// bookkeeping and the IncrementalAtMost / AssumableAtMost reuse
+/// helpers.
 
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <set>
 
-#include "cnf/oracle.h"
-#include "core/bounds.h"
 #include "core/incremental_atmost.h"
 #include "core/soft_tracker.h"
 #include "encodings/sink.h"
-#include "gen/pigeonhole.h"
-#include "gen/random_cnf.h"
 
 namespace msu {
 namespace {
@@ -177,75 +171,6 @@ TEST(AssumableAtMost, BoundLitsEnforceWhenAssumed) {
     std::vector<Lit> all(lits);
     EXPECT_EQ(s.solve(all), lbool::True) << toString(enc);
   }
-}
-
-TEST(Bounds, DisjointCoresOnPigeonhole) {
-  const WcnfFormula w = WcnfFormula::allSoft(pigeonhole(4, 3));
-  const DisjointCoresResult r = disjointCores(w);
-  ASSERT_TRUE(r.complete);
-  ASSERT_GE(r.cores.size(), 1u);
-  // Proposition 1: cost >= K. PHP optimum is 1, so exactly one disjoint
-  // core can exist.
-  EXPECT_EQ(r.costLowerBound(), 1);
-  // Cores must be pairwise disjoint sets of clause indices.
-  std::set<int> seen;
-  for (const std::vector<int>& core : r.cores) {
-    for (int idx : core) {
-      EXPECT_TRUE(seen.insert(idx).second) << "clause in two cores";
-    }
-  }
-}
-
-TEST(Bounds, DisjointCoresAreUnsatSubsets) {
-  const CnfFormula f = randomKSat(
-      {.numVars = 8, .numClauses = 45, .clauseLen = 3, .seed = 1234});
-  const WcnfFormula w = WcnfFormula::allSoft(f);
-  const DisjointCoresResult r = disjointCores(w);
-  ASSERT_TRUE(r.complete);
-  for (const std::vector<int>& core : r.cores) {
-    EXPECT_TRUE(oracleSubsetUnsat(f, core));
-  }
-  // Proposition 1 sanity: lower bound below the true optimum.
-  const OracleResult truth = oracleMaxSat(w);
-  ASSERT_TRUE(truth.optimumCost.has_value());
-  EXPECT_LE(r.costLowerBound(), *truth.optimumCost);
-}
-
-TEST(Bounds, BlockingUpperBoundIsValid) {
-  for (std::uint64_t seed = 10; seed <= 16; ++seed) {
-    const WcnfFormula w = WcnfFormula::allSoft(randomKSat(
-        {.numVars = 8, .numClauses = 40, .clauseLen = 3, .seed = seed}));
-    const auto ub = blockingUpperBound(w);
-    ASSERT_TRUE(ub.has_value());
-    const OracleResult truth = oracleMaxSat(w);
-    ASSERT_TRUE(truth.optimumCost.has_value());
-    // Proposition 2: model cost is an upper bound on the optimum.
-    EXPECT_GE(ub->costUpperBound, *truth.optimumCost);
-    // And it is achieved by the returned model.
-    EXPECT_EQ(w.cost(ub->model), ub->costUpperBound);
-  }
-}
-
-TEST(Bounds, SandwichTheOptimum) {
-  // LB from disjoint cores <= optimum <= UB from one blocking model.
-  const WcnfFormula w = WcnfFormula::allSoft(randomKSat(
-      {.numVars = 9, .numClauses = 50, .clauseLen = 3, .seed = 777}));
-  const OracleResult truth = oracleMaxSat(w);
-  ASSERT_TRUE(truth.optimumCost.has_value());
-  const DisjointCoresResult lb = disjointCores(w);
-  const auto ub = blockingUpperBound(w);
-  ASSERT_TRUE(lb.complete);
-  ASSERT_TRUE(ub.has_value());
-  EXPECT_LE(lb.costLowerBound(), *truth.optimumCost);
-  EXPECT_GE(ub->costUpperBound, *truth.optimumCost);
-}
-
-TEST(Bounds, HardUnsatGivesNoBound) {
-  WcnfFormula w(1);
-  w.addHard({posLit(0)});
-  w.addHard({negLit(0)});
-  w.addSoft({posLit(0)}, 1);
-  EXPECT_FALSE(blockingUpperBound(w).has_value());
 }
 
 }  // namespace

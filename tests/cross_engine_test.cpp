@@ -83,7 +83,7 @@ TEST(CrossEngine, AllFinishersAgree) {
   // engine's on the whole corpus.
   const std::vector<std::string> engines{
       "msu4-v1", "msu4-v2", "msu4-seq", "msu4-tot", "msu3",
-      "msu1",    "wmsu1",   "linear",   "binary",   "pbo",
+      "msu1",    "wmsu1",   "wlinear",  "binary",   "pbo",
       "maxsatz", "portfolio4"};
   for (const auto& [name, wcnf] : instances) {
     std::map<std::string, Weight> optima;
@@ -159,7 +159,7 @@ TEST_P(BoundsCallback, MonotoneAndConverging) {
 
 INSTANTIATE_TEST_SUITE_P(Engines, BoundsCallback,
                          ::testing::Values("msu4-v2", "msu4-v1", "msu3",
-                                           "msu1", "wmsu1", "linear",
+                                           "msu1", "wmsu1", "wlinear",
                                            "binary"),
                          [](const ::testing::TestParamInfo<std::string>& i) {
                            std::string n = i.param;

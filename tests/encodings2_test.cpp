@@ -2,18 +2,15 @@
 ///  * cardinality networks accept exactly popcount <= k (all masks, all
 ///    k), including inside encodeAtMost and inside msu4;
 ///  * truncated outputs propagate forward like the full sorter's;
-///  * the four extra AMO encodings (commander, product, binary,
-///    bimander) accept exactly popcount <= 1, with and without
-///    activators, across group sizes;
 ///  * emitted-size sanity: cardinality networks never exceed the full
-///    sorter, AMO encodings stay within their advertised clause budgets.
+///    sorter; pairwise AMO emits exactly n(n-1)/2 clauses and the
+///    ladder form stays linear.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 
 #include "cnf/oracle.h"
-#include "encodings/amo.h"
 #include "encodings/cardinality.h"
 #include "encodings/cardnet.h"
 #include "encodings/sink.h"
@@ -139,125 +136,12 @@ TEST(CardNetTest, Msu4WithCardinalityNetworksMatchesOracle) {
 }
 
 // ---------------------------------------------------------------------
-// At-most-one encodings
+// At-most-one sizes
 // ---------------------------------------------------------------------
 
-enum class AmoKind { Commander, Product, Binary, Bimander };
-
-const char* toName(AmoKind k) {
-  switch (k) {
-    case AmoKind::Commander:
-      return "commander";
-    case AmoKind::Product:
-      return "product";
-    case AmoKind::Binary:
-      return "binary";
-    case AmoKind::Bimander:
-      return "bimander";
-  }
-  return "?";
-}
-
-void encodeAmo(AmoKind kind, ClauseSink& sink, std::span<const Lit> lits,
-               std::optional<Lit> act = std::nullopt) {
-  switch (kind) {
-    case AmoKind::Commander:
-      encodeAtMostOneCommander(sink, lits, act);
-      break;
-    case AmoKind::Product:
-      encodeAtMostOneProduct(sink, lits, act);
-      break;
-    case AmoKind::Binary:
-      encodeAtMostOneBinary(sink, lits, act);
-      break;
-    case AmoKind::Bimander:
-      encodeAtMostOneBimander(sink, lits, act);
-      break;
-  }
-}
-
-struct AmoCase {
-  AmoKind kind;
-  int n;
-};
-
-class AmoExhaustive : public ::testing::TestWithParam<AmoCase> {};
-
-TEST_P(AmoExhaustive, AcceptsExactlyPopcountLeOne) {
-  const auto [kind, n] = GetParam();
-  Fixture f(n);
-  encodeAmo(kind, f.sink, f.inputs);
-  for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
-    const bool expect = std::popcount(mask) <= 1;
-    const lbool st = f.solveMask(mask);
-    ASSERT_NE(st, lbool::Undef);
-    EXPECT_EQ(st == lbool::True, expect)
-        << toName(kind) << " n=" << n << " mask=" << mask;
-  }
-}
-
-TEST_P(AmoExhaustive, ActivatorMakesItRetractable) {
-  const auto [kind, n] = GetParam();
-  if (n < 2) return;
-  Fixture f(n);
-  const Lit act = posLit(f.solver.newVar());
-  encodeAmo(kind, f.sink, f.inputs, act);
-  const std::uint32_t allOnes = (1u << n) - 1;
-  EXPECT_EQ(f.solveMask(allOnes, ~act), lbool::True)
-      << toName(kind) << " n=" << n;
-  EXPECT_EQ(f.solveMask(allOnes, act), lbool::False)
-      << toName(kind) << " n=" << n;
-  EXPECT_EQ(f.solveMask(1, act), lbool::True) << toName(kind) << " n=" << n;
-}
-
-std::vector<AmoCase> amoCases() {
-  std::vector<AmoCase> cases;
-  for (AmoKind kind : {AmoKind::Commander, AmoKind::Product, AmoKind::Binary,
-                       AmoKind::Bimander}) {
-    for (int n : {1, 2, 3, 4, 5, 6, 8, 9, 12}) cases.push_back({kind, n});
-  }
-  return cases;
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, AmoExhaustive, ::testing::ValuesIn(amoCases()),
-                         [](const ::testing::TestParamInfo<AmoCase>& info) {
-                           return std::string(toName(info.param.kind)) + "_n" +
-                                  std::to_string(info.param.n);
-                         });
-
-TEST(AmoSizeTest, CommanderGroupSizesAllWork) {
-  for (int groupSize : {2, 3, 4, 5}) {
-    Fixture f(10);
-    encodeAtMostOneCommander(f.sink, f.inputs, std::nullopt, groupSize);
-    EXPECT_EQ(f.solveMask(0b0000100000), lbool::True) << groupSize;
-    EXPECT_EQ(f.solveMask(0b0001100000), lbool::False) << groupSize;
-    EXPECT_EQ(f.solveMask(0b1000000001), lbool::False) << groupSize;
-  }
-}
-
-TEST(AmoSizeTest, BimanderGroupSizesAllWork) {
-  for (int groupSize : {1, 2, 3, 5}) {
-    Fixture f(10);
-    encodeAtMostOneBimander(f.sink, f.inputs, std::nullopt, groupSize);
-    EXPECT_EQ(f.solveMask(0b0000000010), lbool::True) << groupSize;
-    EXPECT_EQ(f.solveMask(0b0000000110), lbool::False) << groupSize;
-  }
-}
-
-TEST(AmoSizeTest, BinaryUsesLogClausesPerLiteral) {
-  // n * ceil(log2 n) binary clauses, no more.
-  CnfFormula cnf(16);
-  std::vector<Lit> lits;
-  for (Var v = 0; v < 16; ++v) lits.push_back(posLit(v));
-  FormulaSink sink(cnf);
-  encodeAtMostOneBinary(sink, lits);
-  EXPECT_EQ(cnf.numClauses(), 16 * 4);
-  EXPECT_EQ(cnf.numVars() - 16, 4);
-}
-
-TEST(AmoSizeTest, PairwiseIsQuadraticCommanderLinear) {
+TEST(AmoSizeTest, PairwiseIsQuadraticLadderLinear) {
   const int n = 60;
-  CnfFormula pw(n), cm(n);
+  CnfFormula pw(n), ld(n);
   std::vector<Lit> lits;
   for (Var v = 0; v < n; ++v) lits.push_back(posLit(v));
   {
@@ -265,11 +149,11 @@ TEST(AmoSizeTest, PairwiseIsQuadraticCommanderLinear) {
     encodeAtMostOnePairwise(sink, lits);
   }
   {
-    FormulaSink sink(cm);
-    encodeAtMostOneCommander(sink, lits);
+    FormulaSink sink(ld);
+    encodeAtMostOneLadder(sink, lits);
   }
   EXPECT_EQ(pw.numClauses(), n * (n - 1) / 2);
-  EXPECT_LT(cm.numClauses(), pw.numClauses() / 3);
+  EXPECT_LT(ld.numClauses(), pw.numClauses() / 3);
 }
 
 }  // namespace

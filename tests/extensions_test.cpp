@@ -48,26 +48,11 @@ TEST(CoreTrim, TrimmedCoreStillFails) {
     const std::vector<Lit> assumps = loadWithSelectors(s, f);
     if (s.solve(assumps) != lbool::False) continue;
     const std::vector<Lit> original = s.core();
-    const std::vector<Lit> trimmed = trimCore(s, original);
+    const std::vector<Lit> trimmed = trimCore(s, original, /*rounds=*/4);
     EXPECT_LE(trimmed.size(), original.size());
     // The trimmed set must still be a failing assumption set.
     EXPECT_EQ(s.solve(trimmed), lbool::False);
   }
-}
-
-TEST(CoreTrim, MinimizedCoreIsMinimalOnSmallInstance) {
-  // Formula with a known 2-clause core plus junk: (x)(~x)(y)(z | y)...
-  CnfFormula f(3);
-  f.addClause({posLit(0)});
-  f.addClause({negLit(0)});
-  f.addClause({posLit(1)});
-  f.addClause({posLit(2), posLit(1)});
-  Solver s;
-  const std::vector<Lit> assumps = loadWithSelectors(s, f);
-  ASSERT_EQ(s.solve(assumps), lbool::False);
-  const std::vector<Lit> minimized = minimizeCore(s, s.core());
-  EXPECT_EQ(minimized.size(), 2u);
-  EXPECT_EQ(s.solve(minimized), lbool::False);
 }
 
 TEST(CoreTrim, Msu4WithTrimmingAgreesWithOracle) {

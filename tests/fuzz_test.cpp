@@ -12,7 +12,6 @@
 #include "core/preprocess.h"
 #include "gen/random_cnf.h"
 #include "harness/factory.h"
-#include "mus/mus.h"
 #include "proof/checker.h"
 #include "proof/drup.h"
 #include "sat/solver.h"
@@ -41,7 +40,7 @@ WcnfFormula mediumPartial(std::uint64_t seed) {
 TEST(FuzzCrossEngine, MediumPartialInstancesAllEnginesAgree) {
   const std::vector<std::string> engines{"msu4-v1", "msu4-v2", "msu4-cnet",
                                          "msu3",    "msu1",    "oll",
-                                         "linear",  "binary",  "wlinear"};
+                                         "binary",  "wlinear"};
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
     const WcnfFormula w = mediumPartial(seed * 1313);
     Weight expected = -1;
@@ -182,27 +181,6 @@ TEST(FuzzWeighted, LadderInstancesThreeEnginesAgree) {
     ASSERT_EQ(c.status, MaxSatStatus::Optimum) << "round " << round;
     EXPECT_EQ(a.cost, b.cost) << "round " << round;
     EXPECT_EQ(b.cost, c.cost) << "round " << round;
-  }
-}
-
-TEST(FuzzMus, ExtractedMusesVerifyAtMediumScale) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const CnfFormula f = randomUnsat3Sat(20, 6.5, seed * 11);
-    const MusResult r = extractMusDeletion(f, {});
-    if (!r.minimal) continue;  // satisfiable draw
-    // subsetUnsat is CDCL-backed: usable beyond the oracle's range.
-    EXPECT_TRUE(subsetUnsat(f, r.clauseIndices)) << "seed " << seed;
-    // Spot-check minimality: dropping the first and last clause each
-    // restores satisfiability (full isMus is quadratic; spot is enough
-    // at this scale, the small-scale tests do the exhaustive version).
-    for (const std::size_t drop :
-         {std::size_t{0}, r.clauseIndices.size() - 1}) {
-      std::vector<int> sub;
-      for (std::size_t j = 0; j < r.clauseIndices.size(); ++j) {
-        if (j != drop) sub.push_back(r.clauseIndices[j]);
-      }
-      EXPECT_FALSE(subsetUnsat(f, sub)) << "seed " << seed;
-    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <random>
 
@@ -24,7 +25,7 @@ namespace {
 /// All engines under test, by factory name.
 std::vector<std::string> allEngines() {
   return {"msu4-v1", "msu4-v2", "msu4-seq", "msu4-tot", "msu3",
-          "msu1",    "linear",  "binary",   "pbo",      "pbo-adder",
+          "msu1",    "wlinear", "binary",   "pbo",      "pbo-adder",
           "maxsatz"};
 }
 
@@ -304,6 +305,18 @@ TEST(Factory, KnowsAllNamesAndRejectsUnknown) {
     EXPECT_NE(makeSolver(name), nullptr) << name;
   }
   EXPECT_EQ(makeSolver("no-such-solver"), nullptr);
+}
+
+TEST(Factory, EveryListedNameBuildsADistinctEngine) {
+  // solverNames() drives the CLI's --list and the all-engine sweeps; an
+  // alias would run one engine twice under two names.
+  std::map<std::string, std::string> listedAs;
+  for (const std::string& name : solverNames()) {
+    const std::string built = makeSolver(name)->name();
+    const auto [it, fresh] = listedAs.emplace(built, name);
+    EXPECT_TRUE(fresh) << name << " and " << it->second << " both build "
+                       << built;
+  }
 }
 
 }  // namespace

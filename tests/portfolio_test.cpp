@@ -336,7 +336,7 @@ TEST(Portfolio, SharingMovesClausesUnderContention) {
   w.addSoft({posLit(0)}, 1);
   PortfolioOptions po;
   po.threads = 4;
-  po.engines = {"msu4-v2", "msu3", "linear", "pbo"};  // all sharing-safe
+  po.engines = {"msu4-v2", "msu3", "wlinear", "pbo"};  // all sharing-safe
   PortfolioSolver portfolio(po);
   const MaxSatResult r = portfolio.solve(w);
   EXPECT_EQ(r.status, MaxSatStatus::UnsatisfiableHard);

@@ -149,7 +149,7 @@ TEST(Property, DuplicationEqualsNativeWeighted) {
 }
 
 TEST(Property, ModelsAlwaysCompleteOverOriginalVars) {
-  for (const char* engine : {"msu4-v2", "msu3", "linear", "binary",
+  for (const char* engine : {"msu4-v2", "msu3", "wlinear", "binary",
                              "maxsatz", "pbo"}) {
     const WcnfFormula w = randomWcnf(99, false, true);
     auto solver = makeSolver(engine);

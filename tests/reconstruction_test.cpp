@@ -285,7 +285,7 @@ TEST(Reconstruction, EnginesReturnTotalCorrectModelsUnderInprocessing) {
   // passes run constantly mid-search; every engine must still report
   // the true optimum with a model whose recomputed cost matches —
   // which fails if any soft clause's variables come back undefined.
-  const std::vector<std::string> engines{"msu3", "msu4-v2", "oll", "linear"};
+  const std::vector<std::string> engines{"msu3", "msu4-v2", "oll", "wlinear"};
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
     const CnfFormula f = randomKSat(
         {.numVars = 8, .numClauses = 40, .clauseLen = 3, .seed = seed * 131});

@@ -341,7 +341,7 @@ TEST(SolveService, ShedsLoadWhenTheMemoryCeilingWouldBeExceeded) {
 
 TEST(SolveService, DeadlineAbortStillReportsTheIncumbentBound) {
   SolveServiceOptions so;
-  so.engine = "linear";  // model-improving: incumbents appear early
+  so.engine = "wlinear";  // model-improving: incumbents appear early
   SolveService service(so);
   const WcnfFormula w = anytimeInstance();
   JobLimits limits;
@@ -411,7 +411,7 @@ TEST(SolveService, ConflictCapAbortsWithStructuredReason) {
 
 TEST(SolveService, PollStreamsMonotonicallyTighteningBounds) {
   SolveServiceOptions so;
-  so.engine = "linear";  // model-improving: incumbents appear early
+  so.engine = "wlinear";  // model-improving: incumbents appear early
   SolveService service(so);
   const WcnfFormula w = anytimeInstance();
   JobLimits limits;
@@ -680,7 +680,7 @@ TEST(Cancellation, ConcurrentInterruptStopsARunningSolve) {
 
 TEST(SolveServiceStress, RandomizedSchedulesMatchTheOracle) {
   constexpr int kSchedules = 208;
-  const char* const kEngines[] = {"msu4-v2", "oll", "linear", "msu3"};
+  const char* const kEngines[] = {"msu4-v2", "oll", "wlinear", "msu3"};
 
   for (int schedule = 0; schedule < kSchedules; ++schedule) {
     std::mt19937_64 rng(0xC0FFEE + static_cast<std::uint64_t>(schedule));
