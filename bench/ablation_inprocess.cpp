@@ -6,8 +6,8 @@
 ///
 /// Runs msu4-v2 over the mixed suite as paired A/B cases in the format
 /// check_regression.py --mode ab gates: `all/off` vs `all/on` measures
-/// the whole subsystem, and each per-pass case (`subsume`, `vivify`,
-/// `bve`, `scc`, `probe`) measures one pass's marginal value — its
+/// the whole subsystem, and each per-pass case (`subsume`, `bve`,
+/// `probe`) measures one pass's marginal value — its
 /// `/off` leg is the full configuration with exactly that pass
 /// disabled, its `/on` leg the full configuration. Records deliberately
 /// carry no `sat_calls` counter, so the gate compares raw wall time
@@ -99,18 +99,8 @@ int main(int argc, char** argv) {
   }
   {
     Solver::Options o = on;
-    o.inprocess_viv_props = 0;
-    addCase("vivify", o);
-  }
-  {
-    Solver::Options o = on;
     o.inprocess_bve_occ_limit = 0;
     addCase("bve", o);
-  }
-  {
-    Solver::Options o = on;
-    o.inprocess_scc = false;
-    addCase("scc", o);
   }
   {
     Solver::Options o = on;
@@ -124,8 +114,8 @@ int main(int argc, char** argv) {
   std::cout << std::left << std::setw(14) << "case" << std::right
             << std::setw(9) << "aborted" << std::setw(9) << "solved"
             << std::setw(9) << "passes" << std::setw(10) << "subsumed"
-            << std::setw(9) << "elim" << std::setw(9) << "subst"
-            << std::setw(9) << "hbr" << std::setw(12) << "best t[s]" << '\n';
+            << std::setw(9) << "elim" << std::setw(9) << "hbr"
+            << std::setw(12) << "best t[s]" << '\n';
 
   std::vector<benchjson::BenchRecord> records;
   for (const Variant& v : variants) {
@@ -167,7 +157,7 @@ int main(int argc, char** argv) {
               << std::setw(9) << agg.inproc_passes << std::setw(10)
               << agg.inproc_subsumed << std::setw(9)
               << agg.inproc_bve_eliminated << std::setw(9)
-              << agg.inproc_scc_vars << std::setw(9) << agg.inproc_probe_hbr
+              << agg.inproc_probe_hbr
               << std::setw(12) << std::fixed << std::setprecision(2) << best
               << '\n';
 

@@ -4,6 +4,7 @@
 ///        (Algorithm 1 line 19 — "optional, but experiments suggest it
 ///        is most often useful"), (b) encoding reuse across iterations,
 ///        (c) the tightened model-cost bound vs the paper's raw nu.
+///        Exits 1 when a variant disagrees with another on any optimum.
 ///
 /// Usage: ablation_msu4_opts [timeout_seconds] [size_scale] [per_family]
 
@@ -13,6 +14,7 @@
 #include <iostream>
 
 #include "core/msu4.h"
+#include "harness/runner.h"
 #include "harness/suite.h"
 
 namespace {
@@ -55,6 +57,7 @@ int main(int argc, char** argv) {
             << std::setw(12) << "iterations" << std::setw(12) << "cores"
             << std::setw(12) << "total t[s]" << '\n';
 
+  std::vector<RunRecord> runs;  // per-instance answers for the cross-check
   for (const Variant& v : variants) {
     int aborted = 0;
     int solved = 0;
@@ -72,6 +75,11 @@ int main(int argc, char** argv) {
                    .count();
       iterations += r.iterations;
       cores += r.coresFound;
+      runs.push_back({.solver = v.name,
+                      .instance = inst.name,
+                      .family = inst.family,
+                      .status = r.status,
+                      .cost = r.cost});
       if (r.status == MaxSatStatus::Unknown) {
         ++aborted;
       } else {
@@ -84,5 +92,5 @@ int main(int argc, char** argv) {
               << std::setw(12) << std::fixed << std::setprecision(2) << total
               << '\n';
   }
-  return 0;
+  return crossCheckOptima(runs, std::cerr) > 0 ? 1 : 0;
 }

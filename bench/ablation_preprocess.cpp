@@ -4,9 +4,9 @@
 ///        paper's substrate — shipped with that preprocessor; the paper
 ///        ran the plain solver. The simplification is simplifyHard
 ///        (core/preprocess.h): the solver's own inprocessing passes
-///        (probing, SCC substitution, subsumption, strengthening,
-///        bounded variable elimination) run to a fixpoint on the hard
-///        clauses with every soft-clause variable frozen. Reported per
+///        (strip → probe → subsume, with self-subsuming strengthening →
+///        eliminate, bounded variable elimination) run to a fixpoint on
+///        the hard clauses with every soft-clause variable frozen. Reported per
 ///        engine: aborted counts and total time with and without
 ///        preprocessing, plus clause/variable deltas. Exits 1 when the
 ///        plain and simplified suites disagree on any optimum.

@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
     variants.push_back(v);
   }
   {
-    // Vivification re-evaluated on the adaptive trajectory (decision
+    // Inprocessing re-evaluated on the adaptive trajectory (decision
     // record in bench/README.md).
     Variant v{"ema+inprocess", {}};
     v.sat.ema_restarts = true;

@@ -371,8 +371,9 @@ class BnbEngine {
   /// Depth-first branch and bound; returns true iff aborted on budget.
   bool search() {
     ++nodes_;
-    if ((nodes_ & 255) == 0 &&
-        (opts_.budget.timeExpired() || opts_.budget.nodesExhausted(nodes_))) {
+    // The node cap is exact; the clock is read every 256 nodes.
+    if (opts_.budget.nodesExhausted(nodes_) ||
+        ((nodes_ & 255) == 0 && opts_.budget.timeExpired())) {
       return true;
     }
     const std::size_t mark = trail_.size();

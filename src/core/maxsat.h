@@ -22,11 +22,11 @@
 ///
 /// ## Reconstruction contract (inprocessing round two)
 ///
-/// With Solver::Options::inprocess, the oracle may eliminate or
-/// substitute auxiliary variables mid-search; the solver replays its
-/// witness stack over every satisfying assignment before publishing
-/// it, so `MaxSatResult::model` is always a total assignment over the
-/// original variables and engines never observe removal. Soft-clause
+/// With Solver::Options::inprocess, the oracle may eliminate auxiliary
+/// variables mid-search; the solver replays its witness stack over
+/// every satisfying assignment before publishing it, so
+/// `MaxSatResult::model` is always a total assignment over the original
+/// variables and engines never observe removal. Soft-clause
 /// selectors are frozen and encoding variables are scope-owned, so
 /// neither is ever removed: cores keep naming the selectors engines
 /// track, and scope retirement never invalidates a witness. The full

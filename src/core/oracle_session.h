@@ -42,14 +42,14 @@
 ///
 /// ## Reconstruction across retirement
 ///
-/// Round-two inprocessing may eliminate or substitute auxiliary
-/// variables, recording witnesses for model reconstruction (the
-/// "reconstruction contract" in solver.h). The session needs no
-/// special handling: removal is forbidden on frozen selectors, scope
-/// activators and scope-owned variables, so no witness ever references
-/// a variable that retire() recycles — retirement and reconstruction
-/// commute, models stay total over every variable the engine created,
-/// and cores keep naming the selectors the tracker passed.
+/// Round-two inprocessing may eliminate auxiliary variables, recording
+/// witnesses for model reconstruction (the "reconstruction contract" in
+/// solver.h). The session needs no special handling: removal is
+/// forbidden on frozen selectors, scope activators and scope-owned
+/// variables, so no witness ever references a variable that retire()
+/// recycles — retirement and reconstruction commute, models stay total
+/// over every variable the engine created, and cores keep naming the
+/// selectors the tracker passed.
 
 #pragma once
 

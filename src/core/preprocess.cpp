@@ -149,13 +149,12 @@ SimplifyResult simplifyHard(const WcnfFormula& formula) {
     }
   }
 
-  // Removed (BVE + SCC) plus root-fixed variables only grow, and
+  // Eliminated plus root-fixed variables only grow, and
   // between two such gains the clause count must strictly shrink for
   // another pass to run, so the loop ends on its own.
   const auto settledVars = [&] {
     const SolverStats& st = solver.stats();
-    return st.inproc_bve_eliminated + st.inproc_scc_vars +
-           solver.numFixedVars();
+    return st.inproc_bve_eliminated + solver.numFixedVars();
   };
   while (solver.okay()) {
     const std::int64_t settled = settledVars();

@@ -18,11 +18,11 @@
 ///
 ///        simplifyHard is SatELite (Eén & Biere, SAT 2005; shipped with
 ///        MiniSat 1.14, the paper's substrate) on the hard clauses only:
-///        the solver's own inprocessing passes — probing, SCC
-///        substitution, subsumption, strengthening and bounded variable
-///        elimination — run to a fixpoint with every soft-clause
-///        variable frozen, and the solver's witness stack completes
-///        models of the result.
+///        the solver's own inprocessing passes — strip → probe →
+///        subsume (with self-subsuming strengthening) → eliminate
+///        (bounded variable elimination) — run to a fixpoint with every
+///        soft-clause variable frozen, and the solver's witness stack
+///        completes models of the result.
 
 #pragma once
 

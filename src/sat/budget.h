@@ -219,7 +219,10 @@ class Budget {
     return false;
   }
 
-  /// True iff the cumulative node count exceeds the limit.
+  /// True iff a node cap is set and the cumulative branch-and-bound
+  /// node count has reached it. Nodes are a work budget like
+  /// conflicts, so the abort is recorded as AbortReason::kConflicts,
+  /// the work-budget reason.
   [[nodiscard]] bool nodesExhausted(std::int64_t nodes) const {
     if (max_nodes_ && nodes >= *max_nodes_) {
       noteAbort(AbortReason::kConflicts);

@@ -14,16 +14,16 @@
 /// Candidates are roots of the binary implication graph: literals with
 /// binary out-edges but no in-edges (probing a root covers all its
 /// binary descendants, the classic failed-literal heuristic). The
-/// sweep is propagation-budgeted like vivification and resumes
-/// round-robin across passes from inproc_probe_cursor_.
+/// sweep is propagation-budgeted and resumes round-robin across passes
+/// from inproc_probe_cursor_.
 ///
 /// Scope-awareness: activator and scope-owned variables are never
 /// probed, and no hyper-binary resolvent is attached over them (a
 /// probe can propagate ¬act when a scope clause loses its other
 /// literals, and such implications must not escape into untagged
 /// binaries that retirement's sweeps would miss). Both derivations are
-/// ordinary RUP lemmas, so — unlike elimination and substitution —
-/// probing stays enabled under an attached ProofTracer.
+/// ordinary RUP lemmas, so — unlike elimination — probing stays
+/// enabled under an attached ProofTracer.
 
 #include <array>
 #include <cassert>
@@ -55,7 +55,7 @@ bool Solver::inprocProbe() {
     const Var v = p.var();
     if (assigns_[v] != lbool::Undef) continue;
     if (is_activator_[v] != 0 || var_owner_[v] != kUndefVar) continue;
-    if (varRemoved(v)) continue;
+    if (eliminated_[v] != 0) continue;
     // Roots of the binary implication graph only: p has out-edges
     // (binList(p): implications of p) but no in-edges (binList(~p)
     // holds the binaries containing p, whose contrapositives point at

@@ -76,6 +76,7 @@ TEST(Bnb, NodeBudgetAborts) {
   const MaxSatResult r = solver.solve(w);
   EXPECT_EQ(r.status, MaxSatStatus::Unknown);
   EXPECT_LE(r.lowerBound, r.upperBound);
+  EXPECT_LE(r.iterations, 50);
 }
 
 TEST(Bnb, UpLowerBoundNeverOverestimates) {

@@ -19,12 +19,11 @@
 namespace msu {
 namespace {
 
-/// BVE isolated: equivalence substitution and probing off, so the
-/// counters below are attributable to elimination alone.
+/// BVE isolated: probing off, so the counters below are attributable
+/// to elimination alone.
 Solver::Options bveOpts() {
   Solver::Options o;
   o.inprocess = true;
-  o.inprocess_scc = false;
   o.inprocess_probe_props = 0;
   return o;
 }

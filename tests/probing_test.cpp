@@ -1,11 +1,7 @@
-/// Tests of failed-literal probing with hyper-binary resolution and of
-/// SCC-based equivalent-literal substitution (inprocessing round two):
-/// a failed probe becomes a root unit, hyper-binary resolvents are
-/// attached once and deduplicated across passes, binary-equivalent
-/// literals collapse onto one representative (frozen members win the
-/// representative election), a cycle through a complement refutes the
-/// database, and assumptions over substituted variables are mapped in
-/// and their cores mapped back out.
+/// Tests of failed-literal probing with hyper-binary resolution
+/// (inprocessing round two): a failed probe becomes a root unit, and
+/// hyper-binary resolvents are attached once, deduplicated across
+/// passes, and promoted when they subsume an original clause.
 
 #include <gtest/gtest.h>
 
@@ -17,21 +13,11 @@
 namespace msu {
 namespace {
 
-/// Probing isolated: elimination and substitution off.
+/// Probing isolated: elimination off.
 Solver::Options probeOpts() {
   Solver::Options o;
   o.inprocess = true;
   o.inprocess_bve_occ_limit = 0;
-  o.inprocess_scc = false;
-  return o;
-}
-
-/// Substitution isolated: elimination and probing off.
-Solver::Options sccOpts() {
-  Solver::Options o;
-  o.inprocess = true;
-  o.inprocess_bve_occ_limit = 0;
-  o.inprocess_probe_props = 0;
   return o;
 }
 
@@ -111,81 +97,6 @@ TEST(Probing, HyperBinaryResolventThatSubsumesAnOriginalIsPromoted) {
   EXPECT_EQ(db.size(), 4u);
   EXPECT_NE(std::find(db.begin(), db.end(), std::vector<Lit>{~p, u}),
             db.end());
-}
-
-TEST(Probing, SccCollapsesAnEquivalenceOntoOneRepresentative) {
-  // x <-> y through two binaries; the smaller-index literal x wins the
-  // election, y is substituted away, and the long clause over y is
-  // rewritten in place.
-  Solver s(sccOpts());
-  addVars(s, 4);
-  const Lit x = posLit(0);
-  const Lit y = posLit(1);
-  const Lit z = posLit(2);
-  const Lit w = posLit(3);
-  ASSERT_TRUE(s.addClause({~x, y}));
-  ASSERT_TRUE(s.addClause({~y, x}));
-  ASSERT_TRUE(s.addClause({y, z, w}));
-
-  ASSERT_TRUE(s.inprocessNow());
-  EXPECT_EQ(s.stats().inproc_scc_vars, 1);
-  EXPECT_GE(s.stats().inproc_scc_rewritten, 1);
-
-  // The substitution is invisible from outside: models keep both
-  // variables, and they agree.
-  ASSERT_EQ(s.solve(), lbool::True);
-  EXPECT_NE(s.modelValue(x), lbool::Undef);
-  EXPECT_EQ(s.modelValue(x), s.modelValue(y));
-}
-
-TEST(Probing, SccCycleThroughAComplementRefutesTheDatabase) {
-  // x -> y -> ~x and ~x -> w -> x put x and ~x in one strongly
-  // connected component: the formula is unsatisfiable and the pass
-  // must detect it without search.
-  Solver s(sccOpts());
-  addVars(s, 3);
-  const Lit x = posLit(0);
-  const Lit y = posLit(1);
-  const Lit w = posLit(2);
-  ASSERT_TRUE(s.addClause({~x, y}));
-  ASSERT_TRUE(s.addClause({~y, ~x}));
-  ASSERT_TRUE(s.addClause({x, w}));
-  ASSERT_TRUE(s.addClause({~w, x}));
-
-  EXPECT_FALSE(s.inprocessNow());
-  EXPECT_FALSE(s.okay());
-  EXPECT_EQ(s.solve(), lbool::False);
-}
-
-TEST(Probing, FrozenMemberWinsTheRepresentativeElection) {
-  // x <-> y with y frozen: the pass must keep y (a tracker-style
-  // selector) and substitute x, even though x has the smaller index.
-  // Assumptions over x are mapped to y on the way in, and the core is
-  // mapped back to the caller's literal on the way out.
-  Solver s(sccOpts());
-  addVars(s, 2);
-  const Lit x = posLit(0);
-  const Lit y = posLit(1);
-  s.setFrozen(y.var(), true);
-  ASSERT_TRUE(s.addClause({~x, y}));
-  ASSERT_TRUE(s.addClause({~y, x}));
-
-  ASSERT_TRUE(s.inprocessNow());
-  EXPECT_EQ(s.stats().inproc_scc_vars, 1);
-
-  // Assuming the substituted literal still works, and forces its
-  // representative.
-  const std::vector<Lit> assumeX{x};
-  ASSERT_EQ(s.solve(assumeX), lbool::True);
-  EXPECT_EQ(s.modelValue(x), lbool::True);
-  EXPECT_EQ(s.modelValue(y), lbool::True);
-
-  // Refute y: assuming x must now fail, and the core must name x — the
-  // literal the caller assumed — not the internal representative.
-  ASSERT_TRUE(s.addClause({~y}));
-  ASSERT_EQ(s.solve(assumeX), lbool::False);
-  ASSERT_EQ(s.core().size(), 1u);
-  EXPECT_TRUE(s.core()[0] == x);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 /// Tests of the model-reconstruction witness stack (sat/reconstruct.h)
 /// and of the end-to-end reconstruction contract: deterministic units
-/// for replay, substitution and restorable extraction; reconstruction
+/// for replay, replay order and restorable extraction; reconstruction
 /// surviving scope retirement and variable recycling; a randomized
 /// fuzz interleaving variable-removing inprocessing with scope
 /// creation / retirement / warm solves / incremental clauses against a
@@ -39,7 +39,7 @@ bool modelSat(const Solver& s, const Clause& c) {
 TEST(Reconstruction, ExtendFlipsTheWitnessOnlyWhenNeeded) {
   WitnessStack w;
   const std::vector<Lit> clause{posLit(0), posLit(2)};
-  w.pushClause(posLit(2), clause, /*restorable=*/true);
+  w.pushClause(posLit(2), clause);
 
   // Clause already satisfied: the witness variable is left alone.
   std::vector<lbool> sat{lbool::True, lbool::False, lbool::Undef};
@@ -52,56 +52,65 @@ TEST(Reconstruction, ExtendFlipsTheWitnessOnlyWhenNeeded) {
   EXPECT_EQ(unsat[2], lbool::True);
 }
 
-TEST(Reconstruction, SubstitutionReplaysToAnExactEquality) {
-  WitnessStack w;
-  w.pushSubstitution(posLit(0), posLit(1));  // x := r
-  for (const lbool rv : {lbool::True, lbool::False}) {
-    std::vector<lbool> m{lbool::Undef, rv};
-    w.extend(m);
-    EXPECT_EQ(m[0], rv);
-  }
-}
-
 TEST(Reconstruction, ExtractRestorableKeepsOrderAndTheRest) {
   WitnessStack w;
   const std::vector<Lit> c1{posLit(0), posLit(1)};
   const std::vector<Lit> c2{posLit(2), negLit(0)};
   const std::vector<Lit> c3{negLit(0), posLit(3)};
-  w.pushClause(posLit(0), c1, /*restorable=*/true);
-  w.pushClause(posLit(2), c2, /*restorable=*/true);
-  w.pushClause(negLit(0), c3, /*restorable=*/true);
-  w.pushSubstitution(posLit(4), posLit(1));  // never restorable
-  ASSERT_EQ(w.size(), 5u);
+  const std::vector<Lit> c4{posLit(4), negLit(1)};
+  w.pushClause(posLit(0), c1);
+  w.pushClause(posLit(2), c2);
+  w.pushClause(negLit(0), c3);
+  w.pushClause(posLit(4), c4);
+  ASSERT_EQ(w.size(), 4u);
 
   std::vector<std::vector<Lit>> out;
   w.extractRestorable(0, out);
   ASSERT_EQ(out.size(), 2u);  // c1 and c3, in push order
   EXPECT_EQ(out[0], c1);
   EXPECT_EQ(out[1], c3);
-  EXPECT_EQ(w.size(), 3u);  // c2 and the substitution pair remain
+  EXPECT_EQ(w.size(), 2u);  // c2 and c4 remain, in order
 
   // The surviving entries still replay: v2's clause (v2 | ~v0) forces
-  // v2 when v0 holds, and the substitution still binds v4 to v1.
+  // v2 when v0 holds, and v4's clause (v4 | ~v1) leaves v4 alone when
+  // v1 is false.
   std::vector<lbool> m{lbool::True, lbool::False, lbool::Undef, lbool::Undef,
                        lbool::Undef};
   w.extend(m);
   EXPECT_EQ(m[2], lbool::True);
-  EXPECT_EQ(m[4], lbool::False);
+  EXPECT_EQ(m[4], lbool::Undef);
+
+  // Extracting v2 leaves v4's entry alone.
+  out.clear();
+  w.extractRestorable(2, out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], c2);
+  EXPECT_EQ(w.size(), 1u);
 }
 
 TEST(Reconstruction, NewestFirstReplayComposesInterleavedPasses) {
-  // An elimination witness may mention a variable substituted *later*;
-  // the newer substitution entries sit above it and fix that variable
-  // first. Here v0's clause (v0 | v1) is pushed before v1 := v2, and a
-  // model with v2 false must come back with v1 false and v0 true.
+  // An elimination witness may mention a variable eliminated *later*;
+  // the newer entries sit above it and fix that variable first. Here
+  // v0's clause (v0 | v1) is pushed before v1's two clauses (v1 | ~v2)
+  // and (~v1 | v2), which bind v1 to v2. With v2 false, v1 comes back
+  // false and v0 must be flipped true; with v2 true, v1 comes back true
+  // and already satisfies v0's clause, so v0 stays untouched (an
+  // oldest-first replay would have flipped it while v1 was unset).
   WitnessStack w;
   const std::vector<Lit> clause{posLit(0), posLit(1)};
-  w.pushClause(posLit(0), clause, /*restorable=*/true);
-  w.pushSubstitution(posLit(1), posLit(2));
+  const std::vector<Lit> pos{posLit(1), negLit(2)};
+  const std::vector<Lit> neg{negLit(1), posLit(2)};
+  w.pushClause(posLit(0), clause);
+  w.pushClause(posLit(1), pos);
+  w.pushClause(negLit(1), neg);
   std::vector<lbool> m{lbool::Undef, lbool::Undef, lbool::False};
   w.extend(m);
   EXPECT_EQ(m[1], lbool::False);
   EXPECT_EQ(m[0], lbool::True);
+  m = {lbool::Undef, lbool::Undef, lbool::True};
+  w.extend(m);
+  EXPECT_EQ(m[1], lbool::True);
+  EXPECT_EQ(m[0], lbool::Undef);
 }
 
 TEST(Reconstruction, SurvivesScopeRetirementAndVariableRecycling) {
@@ -236,7 +245,7 @@ TEST(Reconstruction, ScopeAndRemovalFuzzAgainstBruteForce) {
         sink.setScopeEnforced(scopes[i].act, scopes[i].enforced);
       } else if (action == 3) {
         // A fresh global clause: routinely names variables a previous
-        // pass eliminated or substituted, exercising restoration.
+        // pass eliminated, exercising restoration.
         Clause c;
         for (int i = 0; i < 3; ++i) {
           c.push_back(Lit(static_cast<Var>(rng() % kVars), (rng() & 1) != 0));

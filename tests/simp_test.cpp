@@ -4,7 +4,7 @@
 ///  * equisatisfiability on random formulas (oracle-checked both ways);
 ///  * model extension yields genuine models of the original;
 ///  * frozen (soft-clause) variables survive and keep their meaning;
-///  * SCC substitution survives extraction and extends to x == y;
+///  * an x ↔ y equivalence survives and extends to x == y;
 ///  * MaxSAT optimum preservation and weighted model extension;
 ///  * unsat detection and degenerate inputs.
 /// The individual passes are tested on the solver itself in
@@ -115,11 +115,12 @@ TEST(SimpTest, FrozenVariablesAreNeverEliminated) {
   EXPECT_EQ(solveHard(g3), lbool::False);
 }
 
-TEST(SimpTest, SubstitutedVariableExtendsToItsRepresentative) {
-  // x ↔ y is an SCC of the binary implication graph, so substitution
-  // replaces one of the two by the other. A clause longer than BVE's
-  // clause limit keeps the representative from being eliminated as
-  // well; its other literals are frozen by soft clauses.
+TEST(SimpTest, EquivalenceSurvivesAndExtendsToEqualValues) {
+  // x ↔ y through two binaries. Whatever the passes do with x and y —
+  // keep both, or eliminate one — the simplified formula plus the
+  // witness stack must still force x == y. A clause longer than BVE's
+  // clause limit and two short clauses give both variables further
+  // occurrences; the other literals are frozen by soft clauses.
   constexpr Var x = 0;
   constexpr Var y = 1;
   constexpr int kLong = 30;
@@ -139,22 +140,34 @@ TEST(SimpTest, SubstitutedVariableExtendsToItsRepresentative) {
   ASSERT_TRUE(pre.simplified.has_value());
   const bool xKept = occursInHard(*pre.simplified, x);
   const bool yKept = occursInHard(*pre.simplified, y);
-  ASSERT_NE(xKept, yKept) << "exactly one of x, y is substituted away";
-  const Var rep = xKept ? x : y;
-  const Var gone = xKept ? y : x;
+  ASSERT_TRUE(xKept || yKept);
+  if (xKept && yKept) {
+    // Both kept: the simplified formula itself still refutes x != y.
+    for (const bool xValue : {false, true}) {
+      WcnfFormula split = *pre.simplified;
+      split.addHard({mkLit(x, !xValue)});
+      split.addHard({mkLit(y, xValue)});
+      EXPECT_EQ(solveHard(split), lbool::False) << "x " << xValue;
+    }
+  }
 
-  for (const bool repValue : {false, true}) {
-    WcnfFormula pinned = *pre.simplified;
-    pinned.addHard({mkLit(rep, !repValue)});
-    Assignment model;
-    ASSERT_EQ(solveHard(pinned, &model), lbool::True);
-    // The engine's value of the substituted variable is meaningless;
-    // make it wrong so the witness replay has to fix it.
-    model[gone] = toLbool(!repValue);
-    const Assignment full = pre.extend(model);
-    EXPECT_EQ(full[x], full[y]) << "rep " << repValue;
-    EXPECT_EQ(full[rep], toLbool(repValue));
-    EXPECT_TRUE(w.cost(full).has_value()) << "rep " << repValue;
+  for (const Var pin : {x, y}) {
+    if (!occursInHard(*pre.simplified, pin)) continue;
+    for (const bool value : {false, true}) {
+      WcnfFormula pinned = *pre.simplified;
+      pinned.addHard({mkLit(pin, !value)});
+      Assignment model;
+      ASSERT_EQ(solveHard(pinned, &model), lbool::True);
+      // The engine's value of a removed variable is meaningless; make
+      // it wrong so the witness replay has to fix it.
+      for (const Var v : {x, y}) {
+        if (!occursInHard(*pre.simplified, v)) model[v] = toLbool(!value);
+      }
+      const Assignment full = pre.extend(model);
+      EXPECT_EQ(full[x], full[y]) << "pin " << pin << " = " << value;
+      EXPECT_EQ(full[pin], toLbool(value));
+      EXPECT_TRUE(w.cost(full).has_value()) << "pin " << pin;
+    }
   }
 }
 
