@@ -69,10 +69,10 @@ std::vector<msu::Instance> buildPartialSuite(int perFamily,
 /// Number of variables occurring in some hard or soft clause.
 std::int64_t countVars(const msu::WcnfFormula& w) {
   std::vector<char> seen(static_cast<std::size_t>(w.numVars()), 0);
-  const auto mark = [&](const msu::Clause& c) {
+  const auto mark = [&](std::span<const msu::Lit> c) {
     for (const msu::Lit p : c) seen[static_cast<std::size_t>(p.var())] = 1;
   };
-  for (const msu::Clause& h : w.hard()) mark(h);
+  for (const std::span<const msu::Lit> h : w.hard()) mark(h);
   for (const msu::SoftClause& s : w.soft()) mark(s.lits);
   return std::count(seen.begin(), seen.end(), 1);
 }

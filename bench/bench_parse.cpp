@@ -33,6 +33,11 @@
 ///    kMaxPreprocessToParse times parse-wcnf/on's wall (bench/README.md
 ///    "Decision record: huge-instance ingest"); smaller runs only print
 ///    the ratio.
+///
+/// Formula-size gate: at --target-mb >= 16 bench_parse also exits 1 when
+/// parse-wcnf/on or preprocess-wcnf records more than
+/// kMaxFormulaBytesPerInputByte formula bytes per input byte (bench/
+/// README.md "Decision record: ingest memory").
 
 #include <chrono>
 #include <cmath>
@@ -65,6 +70,10 @@ using namespace msu;
 /// preprocess-wcnf may take at most this multiple of parse-wcnf/on's
 /// wall on the same document (enforced at --target-mb >= 16).
 constexpr double kMaxPreprocessToParse = 6.0;
+/// parse-wcnf/on and preprocess-wcnf may hold at most this many formula
+/// bytes (the mem_bytes counter, WcnfFormula::memBytesEstimate) per
+/// input byte (enforced at --target-mb >= 16).
+constexpr double kMaxFormulaBytesPerInputByte = 1.5;
 constexpr double kGateMinMb = 16.0;
 
 struct RunOut {
@@ -97,7 +106,7 @@ std::int64_t checksumCnf(const CnfFormula& f) {
 
 std::int64_t checksumWcnf(const WcnfFormula& f) {
   std::int64_t h = f.numVars();
-  for (const Clause& c : f.hard()) {
+  for (const std::span<const Lit> c : f.hard()) {
     for (const Lit p : c) h = h * 1000003 + p.index();
   }
   for (const SoftClause& s : f.soft()) {
@@ -358,8 +367,25 @@ int main(int argc, char** argv) {
   };
   records.push_back(preRec);
   double parseWcnfMs = 0.0;
+  bool formulaTooBig = false;
   for (const benchjson::BenchRecord& r : records) {
     if (r.name == "parse-wcnf/on") parseWcnfMs = r.wallMs;
+    if (r.name != "parse-wcnf/on" && r.name != "preprocess-wcnf") continue;
+    std::int64_t bytes = 0;
+    std::int64_t mem = 0;
+    for (const auto& [key, value] : r.counters) {
+      if (key == "bytes") bytes = value;
+      if (key == "mem_bytes") mem = value;
+    }
+    const double perByte =
+        static_cast<double>(mem) /
+        static_cast<double>(std::max<std::int64_t>(bytes, 1));
+    formulaTooBig |= perByte > kMaxFormulaBytesPerInputByte;
+    std::cout << r.name << ": " << std::setprecision(2) << perByte
+              << " formula bytes per input byte (limit "
+              << kMaxFormulaBytesPerInputByte
+              << (targetMb >= kGateMinMb ? ")" : ", not enforced below 16 MB)")
+              << '\n';
   }
   const double ratio = preRec.wallMs / parseWcnfMs;
   const bool gated = targetMb >= kGateMinMb;
@@ -379,6 +405,11 @@ int main(int argc, char** argv) {
     std::cerr << "FAIL: preprocessWcnf took " << ratio
               << "x parse-wcnf/on's wall (limit " << kMaxPreprocessToParse
               << "x)\n";
+    return 1;
+  }
+  if (gated && formulaTooBig) {
+    std::cerr << "FAIL: a WCNF formula holds more than "
+              << kMaxFormulaBytesPerInputByte << " bytes per input byte\n";
     return 1;
   }
   return 0;

@@ -51,7 +51,8 @@ int main() {
   int shown = 0;
   std::cout << "\nfalsified gate clauses (error candidates):\n";
   for (int i = 0; i < inst.wcnf.numSoft(); ++i) {
-    const Clause& c = inst.wcnf.soft()[static_cast<std::size_t>(i)].lits;
+    const std::span<const Lit> c =
+        inst.wcnf.soft()[static_cast<std::size_t>(i)].lits;
     bool sat = false;
     for (Lit p : c) {
       if (applySign(result.model[static_cast<std::size_t>(p.var())], p) ==

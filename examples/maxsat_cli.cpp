@@ -15,12 +15,14 @@
 ///                       the instance into cubes conquered over a
 ///                       work-stealing queue (ignores --algo; also
 ///                       reachable as --algo cubesN)
-///     --timeout SECONDS wall-clock budget (default: none)
+///     --timeout SECONDS wall-clock budget, counted from before the
+///                       parse (default: none)
 ///     --mem-mb N        cooperative memory cap in MiB: the solver
-///                       tracks its own clause-storage footprint
-///                       (SolverStats::mem_bytes) and aborts with a
-///                       structured "memory" reason instead of letting
-///                       the process OOM (default: none)
+///                       tracks its own clause-storage footprint plus
+///                       the formula's (SolverStats::mem_bytes) and
+///                       aborts with a structured "memory" reason
+///                       instead of letting the process OOM (default:
+///                       none)
 ///     --inprocess       enable in-solver inprocessing between oracle
 ///                       calls (Solver::Options::inprocess)
 ///     --reuse-trail / --no-reuse-trail
@@ -154,6 +156,11 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The wall budget starts before the parse: --timeout covers loading
+  // and preprocessing, not just the engine.
+  MaxSatOptions opts;
+  if (timeout > 0.0) opts.budget = Budget::wallClock(timeout);
+
   WcnfFormula instance;
   try {
     if (path.empty() || path == "-") {
@@ -182,8 +189,9 @@ int main(int argc, char** argv) {
               << "\n";
   }
 
-  MaxSatOptions opts;
-  if (timeout > 0.0) opts.budget = Budget::wallClock(timeout);
+  // Charge the formula's own storage to the solver's accounting (as
+  // SolveService does), so --mem-mb covers the parse product too.
+  opts.sat.external_mem_bytes = instance.memBytesEstimate();
   if (memMb > 0.0) {
     opts.budget.setMaxMemory(static_cast<std::int64_t>(memMb * 1024 * 1024));
   }

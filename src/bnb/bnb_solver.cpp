@@ -22,11 +22,12 @@ class BnbEngine {
  public:
   BnbEngine(const WcnfFormula& formula, const BnbOptions& opts)
       : opts_(opts), formula_(formula), n_(formula.numVars()) {
-    for (const Clause& h : formula.hard()) {
-      clauses_.push_back(BClause{h, true});
+    for (const std::span<const Lit> h : formula.hard()) {
+      clauses_.push_back(BClause{Clause(h.begin(), h.end()), true});
     }
     for (const SoftClause& s : formula.soft()) {
-      clauses_.push_back(BClause{s.lits, false});
+      clauses_.push_back(
+          BClause{Clause(s.lits.begin(), s.lits.end()), false});
     }
     const std::size_t m = clauses_.size();
     trueCnt_.assign(m, 0);
@@ -451,9 +452,10 @@ BnbSolver::BnbSolver(BnbOptions options) : opts_(options) {}
 std::string BnbSolver::name() const { return "maxsatz-like"; }
 
 MaxSatResult BnbSolver::solve(const WcnfFormula& input) {
-  const std::optional<WcnfFormula> reduced = input.unweighted();
-  if (!reduced) return tooHeavyToDuplicate(input);
-  BnbEngine engine(*reduced, opts_);
+  // No memory accounting here to charge a weight-duplication copy to.
+  const UnitWeightForm unit(input);
+  if (!unit.ok()) return tooHeavyToDuplicate(input);
+  BnbEngine engine(unit.formula(), opts_);
   return engine.run();
 }
 

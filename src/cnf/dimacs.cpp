@@ -201,7 +201,7 @@ void writeDimacsWcnf(std::ostream& out, const WcnfFormula& wcnf) {
   const Weight top = wcnf.totalSoftWeight() + 1;
   out << "p wcnf " << wcnf.numVars() << ' '
       << (wcnf.numHard() + wcnf.numSoft()) << ' ' << top << '\n';
-  for (const Clause& c : wcnf.hard()) {
+  for (const std::span<const Lit> c : wcnf.hard()) {
     out << top << ' ';
     for (Lit p : c) out << p.toDimacs() << ' ';
     out << "0\n";

@@ -245,8 +245,7 @@ std::int64_t FastCursor::readIntQuick(const char* what) {
   return readInt(what);
 }
 
-void FastCursor::readClauseLits(int maxVar, Clause& out) {
-  out.clear();
+void FastCursor::readClauseLits(int maxVar, std::vector<Lit>& out) {
   const char* p = p_;
   const char* const end = end_;
   int line = line_;
@@ -397,7 +396,16 @@ std::int64_t clauseReserveHint(std::int64_t declared, std::size_t bytes) {
 WcnfFormula parseWcnf2022(FastCursor& cur) {
   constexpr std::int64_t kMaxVar = std::numeric_limits<std::int32_t>::max() / 2;
   WcnfFormula out;
-  Clause c;
+  const auto lexBody = [&](std::vector<Lit>& pool) {
+    for (;;) {
+      const std::int64_t v = cur.readInt("literal");
+      if (v == 0) break;
+      if (v > kMaxVar || v < -kMaxVar) {
+        cur.fail("literal " + std::to_string(v) + " too large");
+      }
+      pool.push_back(Lit::fromDimacs(static_cast<std::int32_t>(v)));
+    }
+  };
   while (cur.skipToToken()) {
     bool hard = false;
     Weight w = 1;
@@ -411,22 +419,14 @@ WcnfFormula parseWcnf2022(FastCursor& cur) {
       w = cur.readIntQuick("clause weight");
       if (w <= 0) cur.fail("non-positive clause weight");
     }
-    c.clear();
     if (!cur.skipToToken()) cur.fail("weight without clause body");
-    for (;;) {
-      const std::int64_t v = cur.readInt("literal");
-      if (v == 0) break;
-      if (v > kMaxVar || v < -kMaxVar) {
-        cur.fail("literal " + std::to_string(v) + " too large");
-      }
-      c.push_back(Lit::fromDimacs(static_cast<std::int32_t>(v)));
-    }
     if (hard) {
-      out.addHard(c);
+      out.appendHard(lexBody);
     } else {
-      out.addSoft(c, w);
+      out.appendSoft(w, lexBody);
     }
   }
+  out.shrinkToFit();
   return out;
 }
 
@@ -443,6 +443,7 @@ bool fastLoadDimacsCnfInto(const InputBuffer& buf, Solver& solver) {
     const Solver::BulkLoadGuard bulk(solver, solver.options().bulk_load);
     Clause c;
     while (cur.skipToToken()) {
+      c.clear();
       cur.readClauseLits(h.vars, c);
       if (!solver.addClause(c)) break;  // root-level UNSAT: stop early
     }
@@ -458,6 +459,7 @@ CnfFormula fastParseDimacsCnf(const InputBuffer& buf) {
   cnf.reserveClauses(clauseReserveHint(h.clauses, buf.size()));
   Clause c;
   while (cur.skipToToken()) {
+    c.clear();
     cur.readClauseLits(h.vars, c);
     cnf.addClause(Clause(c));
   }
@@ -474,26 +476,30 @@ WcnfFormula fastParseDimacsWcnf(const InputBuffer& buf) {
   FastCursor cur(buf);
   const FpHeader h = readFpHeader(cur);
   WcnfFormula out(h.vars);
-  Clause c;
+  // The header's clause count sizes the soft offsets and weights (all
+  // of them for a plain CNF); hards and the literal pools grow, and
+  // shrinkToFit() trims every array to its size at the end.
+  out.reserveSoft(
+      static_cast<std::size_t>(clauseReserveHint(h.clauses, buf.size())), 0);
+  const auto lexBody = [&](std::vector<Lit>& pool) {
+    cur.readClauseLits(h.vars, pool);
+  };
   if (!h.wcnf) {
     // A plain CNF read as WCNF lifts to an all-soft instance.
+    while (cur.skipToToken()) out.appendSoft(1, lexBody);
+  } else {
     while (cur.skipToToken()) {
-      cur.readClauseLits(h.vars, c);
-      out.addSoft(c, 1);
-    }
-    return out;
-  }
-  while (cur.skipToToken()) {
-    const Weight w = cur.readIntQuick("clause weight");
-    if (w <= 0) cur.fail("non-positive clause weight");
-    if (!cur.skipToToken()) cur.fail("weight without clause body");
-    cur.readClauseLits(h.vars, c);
-    if (h.top && w >= *h.top) {
-      out.addHard(c);
-    } else {
-      out.addSoft(c, w);
+      const Weight w = cur.readIntQuick("clause weight");
+      if (w <= 0) cur.fail("non-positive clause weight");
+      if (!cur.skipToToken()) cur.fail("weight without clause body");
+      if (h.top && w >= *h.top) {
+        out.appendHard(lexBody);
+      } else {
+        out.appendSoft(w, lexBody);
+      }
     }
   }
+  out.shrinkToFit();
   return out;
 }
 

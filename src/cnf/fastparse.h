@@ -30,6 +30,7 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "cnf/dimacs.h"
 
@@ -119,13 +120,14 @@ class FastCursor {
   std::int64_t readIntQuick(const char* what);
 
   /// Fused clause-body reader: `<lits> 0` with a declared-range check
-  /// against `maxVar`, appended to `out` (cleared first). Semantically
+  /// against `maxVar`, appended to `out` (a scratch clause, or the
+  /// literal pool of a ClauseStore being filled in place). Semantically
   /// identical to a readInt("literal") loop — every irregular token
   /// (overlong digits, stray word, mid-clause end of input) is re-read
   /// through readInt so diagnostics match exactly — but the common
   /// all-digit case keeps the cursor in registers across the whole
   /// clause. This loop is most of the parse wall on huge instances.
-  void readClauseLits(int maxVar, Clause& out);
+  void readClauseLits(int maxVar, std::vector<Lit>& out);
 
   /// Skips blanks (not newlines) and throws DimacsError naming `where`
   /// unless positioned at end of line / end of input. Pins the strict
@@ -172,7 +174,9 @@ bool fastLoadDimacsCnfInto(const InputBuffer& buf, Solver& solver);
 /// Parses DIMACS WCNF from a buffer: the old `p wcnf <vars> <clauses>
 /// [top]` format, the 2022 headerless format (`h`-prefixed hard
 /// clauses, weight-prefixed softs), or a plain `p cnf` instance lifted
-/// to all-soft weight 1. Throws DimacsError.
+/// to all-soft weight 1. Each clause body is lexed straight into the
+/// formula's literal pool (no per-clause allocation, no scratch copy),
+/// and the arrays are trimmed to size at the end. Throws DimacsError.
 [[nodiscard]] WcnfFormula fastParseDimacsWcnf(const InputBuffer& buf);
 
 }  // namespace msu

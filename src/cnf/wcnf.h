@@ -6,12 +6,15 @@
 
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "cnf/clause_store.h"
 #include "cnf/formula.h"
 #include "cnf/literal.h"
 
@@ -21,10 +24,39 @@ namespace msu {
 /// with a "top" weight.
 using Weight = std::int64_t;
 
-/// A soft clause: literals plus a positive weight.
+/// A soft clause as WcnfFormula::soft() yields it: a view of its
+/// literals plus its positive weight.
 struct SoftClause {
-  Clause lits;
+  std::span<const Lit> lits;
   Weight weight = 1;
+};
+
+/// The soft clauses of a WcnfFormula: a random-access range of
+/// SoftClause over the formula's literal store and weight array.
+class SoftClauses {
+ public:
+  using const_iterator = IndexIterator<SoftClauses>;
+
+  SoftClauses(const ClauseStore& clauses, const std::vector<Weight>& weights)
+      : clauses_(&clauses), weights_(&weights) {}
+
+  [[nodiscard]] std::size_t size() const { return clauses_->size(); }
+  [[nodiscard]] bool empty() const { return clauses_->empty(); }
+  [[nodiscard]] SoftClause operator[](std::size_t i) const {
+    return {(*clauses_)[i], (*weights_)[i]};
+  }
+  [[nodiscard]] const_iterator begin() const { return {this, 0}; }
+  [[nodiscard]] const_iterator end() const { return {this, size()}; }
+
+  /// The literal store and the parallel weight array.
+  [[nodiscard]] const ClauseStore& clauses() const { return *clauses_; }
+  [[nodiscard]] const std::vector<Weight>& weights() const {
+    return *weights_;
+  }
+
+ private:
+  const ClauseStore* clauses_;
+  const std::vector<Weight>* weights_;
 };
 
 /// A (partial, weighted) MaxSAT instance.
@@ -32,6 +64,14 @@ struct SoftClause {
 /// Semantics: find an assignment satisfying every hard clause that
 /// minimizes the total weight of falsified soft clauses ("cost").
 /// A plain MaxSAT instance has no hard clauses and unit weights.
+///
+/// Storage contract: the hard and the soft clauses each live in one
+/// ClauseStore (one literal pool plus an offsets array), the soft
+/// weights in one parallel array; no clause owns a heap block. hard()
+/// yields `std::span<const Lit>` and soft() yields SoftClause views. A
+/// span stays valid until the next addHard (for hard spans) or addSoft
+/// (for soft spans) on the same formula, and while the formula lives;
+/// moving the formula keeps them valid.
 class WcnfFormula {
  public:
   WcnfFormula() = default;
@@ -58,6 +98,23 @@ class WcnfFormula {
     if (n > num_vars_) num_vars_ = n;
   }
 
+  /// Capacity hints for bulk construction: clause counts and literal
+  /// totals of each kind. Never shrinks.
+  void reserveHard(std::size_t clauses, std::size_t literals) {
+    hard_.reserve(clauses, literals);
+  }
+  void reserveSoft(std::size_t clauses, std::size_t literals) {
+    soft_.reserve(clauses, literals);
+    weights_.reserve(clauses);
+  }
+
+  /// Trims every array's capacity to its size (after bulk building).
+  void shrinkToFit() {
+    hard_.shrinkToFit();
+    soft_.shrinkToFit();
+    weights_.shrink_to_fit();
+  }
+
   /// Appends a hard clause.
   void addHard(std::span<const Lit> lits);
   void addHard(std::initializer_list<Lit> lits) {
@@ -66,13 +123,39 @@ class WcnfFormula {
 
   /// Appends a soft clause with the given (positive) weight.
   void addSoft(std::span<const Lit> lits, Weight weight = 1);
-  void addSoft(Clause&& lits, Weight weight = 1);
   void addSoft(std::initializer_list<Lit> lits, Weight weight = 1) {
     addSoft(std::span<const Lit>(lits.begin(), lits.size()), weight);
   }
 
-  [[nodiscard]] const std::vector<Clause>& hard() const { return hard_; }
-  [[nodiscard]] const std::vector<SoftClause>& soft() const { return soft_; }
+  /// Appends a hard (soft) clause whose literals `fill` pushes straight
+  /// into the literal pool, a `std::vector<Lit>&` (see
+  /// ClauseStore::append); the parsers lex into it. Grows the variable
+  /// universe as addHard/addSoft do.
+  template <class Fill>
+  void appendHard(Fill&& fill) {
+    hard_.append(std::forward<Fill>(fill));
+    coverVars(hard_[hard_.size() - 1]);
+  }
+  template <class Fill>
+  void appendSoft(Weight weight, Fill&& fill) {
+    assert(weight > 0);
+    soft_.append(std::forward<Fill>(fill));
+    weights_.push_back(weight);
+    coverVars(soft_[soft_.size() - 1]);
+  }
+
+  /// Adds `extra` to the weight of soft clause `i` (merging a duplicate
+  /// into its first occurrence).
+  void addSoftWeight(int i, Weight extra) {
+    assert(extra > 0);
+    weights_[static_cast<std::size_t>(i)] += extra;
+  }
+
+  /// The hard clauses: a random-access range of `std::span<const Lit>`.
+  [[nodiscard]] const ClauseStore& hard() const { return hard_; }
+
+  /// The soft clauses: a random-access range of SoftClause.
+  [[nodiscard]] SoftClauses soft() const { return {soft_, weights_}; }
 
   /// True iff every weight is 1.
   [[nodiscard]] bool isUnweighted() const;
@@ -83,7 +166,8 @@ class WcnfFormula {
   /// Returns an equivalent unit-weight instance obtained by duplicating
   /// each soft clause `weight` times, or `nullopt` if the total number of
   /// duplicated clauses would exceed `maxClauses`. Cost values carry over
-  /// unchanged.
+  /// unchanged. Always a copy; engines go through UnitWeightForm
+  /// (core/maxsat.h), which copies only when some weight exceeds 1.
   [[nodiscard]] std::optional<WcnfFormula> unweighted(
       std::int64_t maxClauses = 1'000'000) const;
 
@@ -96,8 +180,9 @@ class WcnfFormula {
   /// clause is violated.
   [[nodiscard]] std::optional<int> numSoftSatisfied(const Assignment& a) const;
 
-  /// Heap bytes held by the clause storage (capacities, not sizes) —
-  /// the formula's contribution to an end-to-end memory budget (see
+  /// Heap bytes held by the clause storage: the capacities of the two
+  /// literal pools, the two offset arrays and the weight array — the
+  /// formula's contribution to an end-to-end memory budget (see
   /// Solver::Options::external_mem_bytes).
   [[nodiscard]] std::int64_t memBytesEstimate() const;
 
@@ -105,9 +190,18 @@ class WcnfFormula {
   [[nodiscard]] std::string summary() const;
 
  private:
+  /// Grows the variable universe to cover `lits`.
+  void coverVars(std::span<const Lit> lits) {
+    for (const Lit p : lits) {
+      assert(p.defined());
+      ensureVars(p.var() + 1);
+    }
+  }
+
   int num_vars_ = 0;
-  std::vector<Clause> hard_;
-  std::vector<SoftClause> soft_;
+  ClauseStore hard_;
+  ClauseStore soft_;
+  std::vector<Weight> weights_;  // parallel to soft_
 };
 
 }  // namespace msu

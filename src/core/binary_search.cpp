@@ -14,12 +14,12 @@ std::string BinarySearchSolver::name() const {
 
 MaxSatResult BinarySearchSolver::solve(const WcnfFormula& input) {
   MaxSatResult result;
-  const std::optional<WcnfFormula> reduced = input.unweighted();
-  if (!reduced) return tooHeavyToDuplicate(input);
-  const WcnfFormula& formula = *reduced;
+  const UnitWeightForm unit(input);
+  if (!unit.ok()) return tooHeavyToDuplicate(input);
+  const WcnfFormula& formula = unit.formula();
   const Weight m = formula.numSoft();
 
-  OracleSession session(opts_);
+  OracleSession session(unit.charged(opts_));
   SoftTracker& tracker = session.trackSofts(formula);
   for (int i = 0; i < tracker.numSoft(); ++i) tracker.relax(i);
 

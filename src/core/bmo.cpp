@@ -46,12 +46,12 @@ MaxSatResult BmoSolver::solve(const WcnfFormula& formula) {
   // `(C_i ∨ b_i)`; per level, the softs are the units `(¬b_i)` of that
   // stratum, and each solved level freezes `sum(b_level) <= optimum`.
   WcnfFormula working(formula.numVars());
-  for (const Clause& c : formula.hard()) working.addHard(c);
+  for (const std::span<const Lit> c : formula.hard()) working.addHard(c);
   std::vector<Lit> blocking;
   blocking.reserve(static_cast<std::size_t>(formula.numSoft()));
   for (const SoftClause& sc : formula.soft()) {
     const Lit b = posLit(working.newVar());
-    Clause relaxed = sc.lits;
+    Clause relaxed(sc.lits.begin(), sc.lits.end());
     relaxed.push_back(b);
     working.addHard(relaxed);
     blocking.push_back(b);

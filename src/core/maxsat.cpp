@@ -20,4 +20,13 @@ MaxSatResult tooHeavyToDuplicate(const WcnfFormula& input) {
   return result;
 }
 
+UnitWeightForm::UnitWeightForm(const WcnfFormula& input) {
+  if (input.isUnweighted()) {
+    formula_ = &input;
+    return;
+  }
+  copy_ = input.unweighted();
+  if (copy_) formula_ = &*copy_;
+}
+
 }  // namespace msu

@@ -35,8 +35,10 @@
 
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "cnf/wcnf.h"
@@ -150,6 +152,40 @@ struct MaxSatOptions {
 /// WcnfFormula::unweighted() refuses `input`: Unknown, with the bounds
 /// every instance has, 0 and the total soft weight.
 [[nodiscard]] MaxSatResult tooHeavyToDuplicate(const WcnfFormula& input);
+
+/// The unit-weight instance an engine that reduces weights by
+/// duplication solves: `input` itself when every weight is 1 (no copy),
+/// otherwise WcnfFormula::unweighted()'s duplicated copy, owned here.
+/// Pinned in place: formula() may point into the object.
+class UnitWeightForm {
+ public:
+  explicit UnitWeightForm(const WcnfFormula& input);
+  UnitWeightForm(const UnitWeightForm&) = delete;
+  UnitWeightForm& operator=(const UnitWeightForm&) = delete;
+
+  /// False when duplication would exceed unweighted()'s clause limit;
+  /// the engine then answers tooHeavyToDuplicate(input).
+  [[nodiscard]] bool ok() const { return formula_ != nullptr; }
+
+  /// The unit-weight instance (requires ok()).
+  [[nodiscard]] const WcnfFormula& formula() const { return *formula_; }
+
+  /// Heap bytes of the copy; 0 when `input` is used as it is.
+  [[nodiscard]] std::int64_t copyBytes() const {
+    return copy_ ? copy_->memBytesEstimate() : 0;
+  }
+
+  /// `opts` with copyBytes() added to `sat.external_mem_bytes`, so a
+  /// memory cap (Budget::setMaxMemory) covers the copy too.
+  [[nodiscard]] MaxSatOptions charged(MaxSatOptions opts) const {
+    opts.sat.external_mem_bytes += copyBytes();
+    return opts;
+  }
+
+ private:
+  std::optional<WcnfFormula> copy_;
+  const WcnfFormula* formula_ = nullptr;
+};
 
 /// Abstract MaxSAT engine.
 class MaxSatSolver {

@@ -13,13 +13,13 @@ std::string Msu1Solver::name() const { return "msu1"; }
 
 MaxSatResult Msu1Solver::solve(const WcnfFormula& input) {
   MaxSatResult result;
-  const std::optional<WcnfFormula> reduced = input.unweighted();
-  if (!reduced) return tooHeavyToDuplicate(input);
-  const WcnfFormula& formula = *reduced;
+  const UnitWeightForm unit(input);
+  if (!unit.ok()) return tooHeavyToDuplicate(input);
+  const WcnfFormula& formula = unit.formula();
   const Weight m = formula.numSoft();
   const int numOriginalVars = formula.numVars();
 
-  OracleSession session(opts_);
+  OracleSession session(unit.charged(opts_));
   session.addHards(formula);
 
   // Per soft clause: its current literal set (original literals plus the
@@ -42,8 +42,9 @@ MaxSatResult Msu1Solver::solve(const WcnfFormula& input) {
   };
 
   for (int i = 0; i < m; ++i) {
-    lits[static_cast<std::size_t>(i)] =
+    const std::span<const Lit> soft =
         formula.soft()[static_cast<std::size_t>(i)].lits;
+    lits[static_cast<std::size_t>(i)].assign(soft.begin(), soft.end());
     installVersion(i);
   }
 

@@ -33,12 +33,12 @@ std::string Msu4Solver::name() const {
 
 MaxSatResult Msu4Solver::solve(const WcnfFormula& input) {
   MaxSatResult result;
-  const std::optional<WcnfFormula> reduced = input.unweighted();
-  if (!reduced) return tooHeavyToDuplicate(input);
-  const WcnfFormula& formula = *reduced;
+  const UnitWeightForm unit(input);
+  if (!unit.ok()) return tooHeavyToDuplicate(input);
+  const WcnfFormula& formula = unit.formula();
   const Weight m = formula.numSoft();
 
-  OracleSession session(opts_);
+  OracleSession session(unit.charged(opts_));
   SoftTracker& tracker = session.trackSofts(formula);
   IncrementalAtMost card(opts_.encoding, opts_.reuseEncodings);
 

@@ -31,7 +31,7 @@ MaxSatResult OllSolver::solve(const WcnfFormula& formula) {
   // Soft-clause selectors: (C_i ∨ s_i), assumption ¬s_i.
   for (const SoftClause& sc : formula.soft()) {
     const Lit sel = posLit(session.sat().newVar());
-    Clause withSel = sc.lits;
+    Clause withSel(sc.lits.begin(), sc.lits.end());
     withSel.push_back(sel);
     static_cast<void>(session.sat().addClause(withSel));
     active[~sel] += sc.weight;

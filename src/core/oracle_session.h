@@ -98,8 +98,10 @@ class OracleSession {
 
   // ---- Loading ---------------------------------------------------------
 
-  /// Ensures the solver knows at least `n` variables.
+  /// Ensures the solver knows at least `n` variables (reserved up front,
+  /// then created).
   void ensureVars(int n) {
+    sat_.reserveVars(n);
     while (sat_.numVars() < n) {
       static_cast<void>(sat_.newVar());
     }
@@ -111,13 +113,15 @@ class OracleSession {
     addClauses(f.hard());
   }
 
-  /// Loads `clauses`, whose variables must exist already. Runs under a
-  /// bulk-load scope (Options::bulk_load, default on): watch
+  /// Loads `clauses` (any range of clauses: a ClauseStore, a
+  /// std::vector<Clause>), whose variables must exist already. Runs
+  /// under a bulk-load scope (Options::bulk_load, default on): watch
   /// construction is deferred to one counting pass over the whole
   /// batch instead of per-clause incremental growth.
-  void addClauses(std::span<const Clause> clauses) {
+  template <class Clauses>
+  void addClauses(const Clauses& clauses) {
     const Solver::BulkLoadGuard bulk(sat_, sat_.options().bulk_load);
-    for (const Clause& c : clauses) {
+    for (const std::span<const Lit> c : clauses) {
       static_cast<void>(sat_.addClause(c));
     }
   }

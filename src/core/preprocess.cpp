@@ -13,10 +13,11 @@ namespace {
 /// them. The solver and its arena live only inside this call.
 std::optional<Assignment> propagateHard(const WcnfFormula& formula) {
   Solver up;
+  up.reserveVars(formula.numVars());
   while (up.numVars() < formula.numVars()) static_cast<void>(up.newVar());
   {
     Solver::BulkLoadGuard bulk(up);
-    for (const Clause& h : formula.hard()) {
+    for (const std::span<const Lit> h : formula.hard()) {
       if (!up.addClause(h)) break;
     }
   }
@@ -47,7 +48,7 @@ PreprocessResult preprocessWcnf(const WcnfFormula& formula) {
   /// Returns false when the clause is satisfied or a tautology; an
   /// empty `scratch` means falsified.
   Clause scratch;
-  auto reduce = [&](const Clause& c) {
+  auto reduce = [&](std::span<const Lit> c) {
     scratch.clear();
     for (const Lit p : c) {
       const lbool v =
@@ -58,17 +59,23 @@ PreprocessResult preprocessWcnf(const WcnfFormula& formula) {
     return normalizeClause(scratch);
   };
 
+  // The output is a new store no larger than the input; it is trimmed
+  // to size once written.
   WcnfFormula simplified(formula.numVars());
+  simplified.reserveHard(formula.hard().size(),
+                         formula.hard().numLiterals());
+  simplified.reserveSoft(formula.soft().size(),
+                         formula.soft().clauses().numLiterals());
 
   // Hard clauses: reduce and de-duplicate. The table keys on the output
   // clauses themselves. A falsified hard clause would have refuted
   // propagation above.
   {
     ClauseIdTable seen;
-    const auto litsOf = [&](ClauseIdTable::Id i) -> const Clause& {
+    const auto litsOf = [&](ClauseIdTable::Id i) {
       return simplified.hard()[i];
     };
-    for (const Clause& h : formula.hard()) {
+    for (const std::span<const Lit> h : formula.hard()) {
       const auto id = static_cast<ClauseIdTable::Id>(simplified.numHard());
       if (!reduce(h) || seen.insert(scratch, id, litsOf) != id) {
         ++result.removedHard;
@@ -80,10 +87,9 @@ PreprocessResult preprocessWcnf(const WcnfFormula& formula) {
 
   // Soft clauses: reduce, charge falsified ones, merge duplicates into
   // their first occurrence.
-  std::vector<SoftClause> softOut;
   ClauseIdTable seen;
-  const auto litsOf = [&](ClauseIdTable::Id i) -> const Clause& {
-    return softOut[i].lits;
+  const auto litsOf = [&](ClauseIdTable::Id i) {
+    return simplified.soft().clauses()[i];
   };
   for (const SoftClause& s : formula.soft()) {
     if (!reduce(s.lits)) {
@@ -95,16 +101,16 @@ PreprocessResult preprocessWcnf(const WcnfFormula& formula) {
       ++result.removedSoft;
       continue;
     }
-    const auto id = static_cast<ClauseIdTable::Id>(softOut.size());
+    const auto id = static_cast<ClauseIdTable::Id>(simplified.numSoft());
     if (const ClauseIdTable::Id first = seen.insert(scratch, id, litsOf);
         first != id) {
-      softOut[first].weight += s.weight;
+      simplified.addSoftWeight(static_cast<int>(first), s.weight);
       ++result.mergedSoft;
       continue;
     }
-    softOut.push_back(SoftClause{scratch, s.weight});
+    simplified.addSoft(scratch, s.weight);
   }
-  for (SoftClause& s : softOut) simplified.addSoft(std::move(s.lits), s.weight);
+  simplified.shrinkToFit();
 
   result.simplified = std::move(simplified);
   return result;
@@ -136,6 +142,7 @@ SimplifyResult simplifyHard(const WcnfFormula& formula) {
   Solver::Options opts;
   opts.inprocess = true;
   Solver solver(opts);
+  solver.reserveVars(formula.numVars());
   while (solver.numVars() < formula.numVars()) {
     static_cast<void>(solver.newVar());
   }
@@ -144,7 +151,7 @@ SimplifyResult simplifyHard(const WcnfFormula& formula) {
   }
   {
     Solver::BulkLoadGuard bulk(solver);
-    for (const Clause& h : formula.hard()) {
+    for (const std::span<const Lit> h : formula.hard()) {
       if (!solver.addClause(h)) break;
     }
   }

@@ -8,24 +8,31 @@ namespace msu {
 SoftTracker::SoftTracker(Solver& solver, const WcnfFormula& formula) {
   assert(formula.isUnweighted());
   num_original_vars_ = formula.numVars();
+  const int numSoft = formula.numSoft();
+  // Selectors take the variables right after the original ones.
+  const int firstSelector = std::max(solver.numVars(), num_original_vars_);
+  solver.reserveVars(firstSelector + numSoft);
   while (solver.numVars() < num_original_vars_) {
     static_cast<void>(solver.newVar());
   }
-  for (const Clause& h : formula.hard()) {
+  for (const std::span<const Lit> h : formula.hard()) {
     static_cast<void>(solver.addClause(h));
   }
-  selectors_.reserve(static_cast<std::size_t>(formula.numSoft()));
-  relaxed_.assign(static_cast<std::size_t>(formula.numSoft()), 0);
-  for (int i = 0; i < formula.numSoft(); ++i) {
+  selectors_.reserve(static_cast<std::size_t>(numSoft));
+  relaxed_.assign(static_cast<std::size_t>(numSoft), 0);
+  var_to_soft_.assign(static_cast<std::size_t>(firstSelector + numSoft), -1);
+  Clause augmented;  // one buffer for every selector-augmented clause
+  for (int i = 0; i < numSoft; ++i) {
     const Var a = solver.newVar();
     // The protocol depends on the selector's textual presence in its
     // soft clause (assuming ~a enforces it, cores name it): freeze it
     // so inprocessing never strengthens the selector away.
     solver.setFrozen(a, true);
-    var_to_soft_.resize(static_cast<std::size_t>(a) + 1, -1);
     var_to_soft_[static_cast<std::size_t>(a)] = i;
     selectors_.push_back(posLit(a));
-    Clause augmented = formula.soft()[static_cast<std::size_t>(i)].lits;
+    const std::span<const Lit> lits =
+        formula.soft()[static_cast<std::size_t>(i)].lits;
+    augmented.assign(lits.begin(), lits.end());
     augmented.push_back(posLit(a));
     static_cast<void>(solver.addClause(augmented));
   }
@@ -83,7 +90,8 @@ int SoftTracker::relaxedFalsifiedCost(const WcnfFormula& formula,
   int cost = 0;
   for (int i = 0; i < numSoft(); ++i) {
     if (!isRelaxed(i)) continue;
-    const Clause& c = formula.soft()[static_cast<std::size_t>(i)].lits;
+    const std::span<const Lit> c =
+        formula.soft()[static_cast<std::size_t>(i)].lits;
     bool sat = false;
     for (Lit p : c) {
       if (applySign(model[static_cast<std::size_t>(p.var())], p) ==

@@ -78,11 +78,13 @@ PboProblem toPbo(const WcnfFormula& formula) {
   PboProblem p;
   p.clauses.reserve(
       static_cast<std::size_t>(formula.numHard() + formula.numSoft()));
-  for (const Clause& h : formula.hard()) p.clauses.push_back(h);
+  for (const std::span<const Lit> h : formula.hard()) {
+    p.clauses.emplace_back(h.begin(), h.end());
+  }
   int nextVar = formula.numVars();
   for (const SoftClause& s : formula.soft()) {
     const Lit b = posLit(nextVar++);
-    Clause c = s.lits;
+    Clause c(s.lits.begin(), s.lits.end());
     c.push_back(b);
     p.clauses.push_back(std::move(c));
     p.objective.push_back(PbTerm{b, s.weight});

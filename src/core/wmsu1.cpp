@@ -44,7 +44,9 @@ MaxSatResult Wmsu1Solver::solve(const WcnfFormula& formula) {
     items.push_back(SoftItem{std::move(lits), weight, act});
   };
 
-  for (const SoftClause& s : formula.soft()) install(s.lits, s.weight);
+  for (const SoftClause& s : formula.soft()) {
+    install(Clause(s.lits.begin(), s.lits.end()), s.weight);
+  }
 
   if (!session.okay()) {
     result.status = MaxSatStatus::UnsatisfiableHard;

@@ -21,19 +21,21 @@ class WalkSatEngine {
   WalkSatEngine(const WcnfFormula& formula, const WalkSatOptions& opts)
       : opts_(opts), n_(formula.numVars()) {
     const Weight hardWeight = formula.totalSoftWeight() + 1;
-    for (const Clause& h : formula.hard()) {
+    for (const std::span<const Lit> h : formula.hard()) {
       if (h.empty()) {
         hardUnsat_ = true;  // falsum: no assignment is hard-feasible
         continue;
       }
-      clauses_.push_back(FlatClause{h, hardWeight, true});
+      clauses_.push_back(
+          FlatClause{Clause(h.begin(), h.end()), hardWeight, true});
     }
     for (const SoftClause& s : formula.soft()) {
       if (s.lits.empty()) {
         baseCost_ += s.weight;  // permanently falsified
         continue;
       }
-      clauses_.push_back(FlatClause{s.lits, s.weight, false});
+      clauses_.push_back(FlatClause{Clause(s.lits.begin(), s.lits.end()),
+                                    s.weight, false});
     }
     occ_.resize(static_cast<std::size_t>(2 * std::max(n_, 1)));
     for (std::size_t ci = 0; ci < clauses_.size(); ++ci) {
@@ -210,7 +212,7 @@ WalkSatResult walksatMaxSat(const WcnfFormula& formula,
     WalkSatResult r;
     // Degenerate: only (possibly empty) clauses without variables.
     r.hardFeasible = true;
-    for (const Clause& h : formula.hard()) {
+    for (const std::span<const Lit> h : formula.hard()) {
       if (h.empty()) r.hardFeasible = false;
     }
     for (const SoftClause& s : formula.soft()) {

@@ -149,7 +149,7 @@ class Lookahead {
     return true;
   }
 
-  const std::vector<Clause>& clauses_;
+  const ClauseStore& clauses_;
   std::vector<lbool> values_;
   std::vector<std::vector<int>> occ_;  // lit index -> clause indices
   std::vector<int> occ_count_;         // var -> total occurrences

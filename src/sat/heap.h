@@ -26,6 +26,12 @@ class VarOrderHeap {
     return v < static_cast<Var>(indices_.size()) && indices_[v] >= 0;
   }
 
+  /// Reserves room for variables `0 .. n-1`.
+  void reserve(std::size_t n) {
+    indices_.reserve(n);
+    heap_.reserve(n);
+  }
+
   /// Inserts `v` (must not be present).
   void insert(Var v) {
     growIndex(v);

@@ -101,6 +101,27 @@ Var Solver::newVar(bool decisionVar, bool scoped) {
   return v;
 }
 
+void Solver::reserveVars(int n) {
+  if (n <= static_cast<int>(assigns_.capacity())) return;
+  const auto nv = static_cast<std::size_t>(n);
+  watches_.reserveLiterals(2 * nv);
+  assigns_.reserve(nv);
+  vardata_.reserve(nv);
+  polarity_.reserve(nv);
+  best_phase_.reserve(nv);
+  decision_.reserve(nv);
+  activity_.reserve(nv);
+  seen_.reserve(nv);
+  frozen_.reserve(nv);
+  eliminated_.reserve(nv);
+  is_activator_.reserve(nv);
+  scope_index_.reserve(nv);
+  var_owner_.reserve(nv);
+  assump_stamp_.reserve(nv);
+  trail_.reserve(nv);
+  order_heap_.reserve(nv);
+}
+
 Lit Solver::newActivator() {
   const Var v = newVar(/*decisionVar=*/false, /*scoped=*/false);
   is_activator_[v] = 1;

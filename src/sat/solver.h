@@ -362,9 +362,11 @@ class Solver {
     /// footprint (the parsed formula, parse buffers): counted into
     /// memBytesEstimate() so Budget::setMaxMemory caps the *end-to-end*
     /// ingest-to-solve footprint, not just the clause database. The
-    /// job layer sets it from WcnfFormula::memBytesEstimate(); engines
-    /// that fan one formula out to several solvers (portfolio, cubes)
-    /// charge it to each worker — deliberately conservative.
+    /// job layer and maxsat_cli set it from
+    /// WcnfFormula::memBytesEstimate(), and an engine that duplicates
+    /// weighted softs adds its unit-weight copy (UnitWeightForm);
+    /// engines that fan one formula out to several solvers (portfolio,
+    /// cubes) charge it to each worker — deliberately conservative.
     std::int64_t external_mem_bytes = 0;
 
     /// Load hard/soft clauses through the bulk path (beginBulkLoad/
@@ -401,6 +403,13 @@ class Solver {
   /// scope when available. While a scope is open the variable is owned
   /// by it (recycled at retire) unless `scoped` is false.
   Var newVar(bool decisionVar = true, bool scoped = true);
+
+  /// Reserves room for `n` variables in total: every per-variable array,
+  /// the trail, the decision heap and the watch heads, so a bulk run of
+  /// newVar() fills them without a doubling copy. Changes no state. Call
+  /// it once before such a run, not per variable: each call that grows
+  /// the room reallocates to exactly `n`.
+  void reserveVars(int n);
 
   /// Number of variable slots created (recycled or not).
   [[nodiscard]] int numVars() const {

@@ -274,6 +274,9 @@ class WatchTable {
   /// Registers one more literal slot (call twice per new variable).
   void addLiteral() { heads_.emplace_back(); }
 
+  /// Reserves header room for `n` literals in total.
+  void reserveLiterals(std::size_t n) { heads_.reserve(n); }
+
   [[nodiscard]] int numLits() const { return static_cast<int>(heads_.size()); }
 
   // ---- binary lists ----------------------------------------------------

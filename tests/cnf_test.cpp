@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "cnf/dimacs.h"
 #include "cnf/formula.h"
@@ -234,6 +236,141 @@ TEST(Dimacs, RoundTripWcnf) {
   EXPECT_EQ(v.numSoft(), 2);
   EXPECT_EQ(v.soft()[0].weight, 2);
   EXPECT_EQ(v.hard()[0], w.hard()[0]);
+}
+
+/// A random WCNF over `vars` variables with empty clauses, repeated
+/// literals and weights 1..4, plus the clauses it was built from.
+struct RandomWcnf {
+  WcnfFormula formula;
+  std::vector<Clause> hard;
+  std::vector<std::pair<Clause, Weight>> soft;
+};
+
+RandomWcnf randomWcnf(std::mt19937& rng, int vars) {
+  RandomWcnf r{WcnfFormula(vars), {}, {}};
+  auto clause = [&] {
+    Clause c(rng() % 5);  // length 0..4; empty clauses included
+    for (Lit& p : c) p = Lit(static_cast<Var>(rng() % vars), rng() % 2 == 0);
+    return c;
+  };
+  for (int i = 0, n = static_cast<int>(rng() % 12); i < n; ++i) {
+    r.hard.push_back(clause());
+    r.formula.addHard(r.hard.back());
+  }
+  for (int i = 0, n = static_cast<int>(rng() % 20); i < n; ++i) {
+    r.soft.emplace_back(clause(), 1 + static_cast<Weight>(rng() % 4));
+    r.formula.addSoft(r.soft.back().first, r.soft.back().second);
+  }
+  return r;
+}
+
+TEST(WcnfStore, HardAndSoftRoundTripThroughSpans) {
+  std::mt19937 rng(18);
+  int empties = 0;
+  for (int round = 0; round < 200; ++round) {
+    const RandomWcnf r = randomWcnf(rng, 1 + round % 9);
+    const WcnfFormula& w = r.formula;
+    ASSERT_EQ(w.numHard(), static_cast<int>(r.hard.size()));
+    ASSERT_EQ(w.numSoft(), static_cast<int>(r.soft.size()));
+    for (std::size_t i = 0; i < r.hard.size(); ++i) {
+      EXPECT_EQ(w.hard()[i], r.hard[i]) << "round " << round;
+      empties += r.hard[i].empty() ? 1 : 0;
+    }
+    std::size_t i = 0;
+    for (const SoftClause& s : w.soft()) {
+      EXPECT_EQ(s.lits, r.soft[i].first) << "round " << round;
+      EXPECT_EQ(s.weight, r.soft[i].second) << "round " << round;
+      empties += r.soft[i].first.empty() ? 1 : 0;
+      ++i;
+    }
+    EXPECT_EQ(i, r.soft.size());
+    Weight total = 0;
+    for (const auto& [lits, weight] : r.soft) total += weight;
+    EXPECT_EQ(w.totalSoftWeight(), total);
+  }
+  EXPECT_GT(empties, 0);
+}
+
+TEST(WcnfStore, AddingAClauseOfTheSameStoreCopiesIt) {
+  WcnfFormula w(4);
+  w.addHard({posLit(0), negLit(1), posLit(2)});
+  w.addSoft({negLit(3), posLit(1)}, 2);
+  // Enough appends to move both pools at least once.
+  for (int k = 0; k < 64; ++k) {
+    w.addHard(w.hard()[0]);
+    w.addSoft(w.soft()[0].lits, 1);
+  }
+  for (const std::span<const Lit> h : w.hard()) {
+    EXPECT_EQ(h, (Clause{posLit(0), negLit(1), posLit(2)}));
+  }
+  for (const SoftClause& s : w.soft()) {
+    EXPECT_EQ(s.lits, (Clause{negLit(3), posLit(1)}));
+  }
+}
+
+TEST(WcnfStore, MemBytesIsTheSumOfTheArrayCapacities) {
+  std::mt19937 rng(7);
+  for (int round = 0; round < 50; ++round) {
+    RandomWcnf r = randomWcnf(rng, 6);
+    for (int trim = 0; trim < 2; ++trim) {
+      const WcnfFormula& w = r.formula;
+      const ClauseStore& hard = w.hard();
+      const ClauseStore& soft = w.soft().clauses();
+      const std::size_t bytes =
+          (hard.literalCapacity() + soft.literalCapacity()) * sizeof(Lit) +
+          (hard.capacity() + soft.capacity()) * sizeof(ClauseStore::Offset) +
+          w.soft().weights().capacity() * sizeof(Weight);
+      EXPECT_EQ(w.memBytesEstimate(), static_cast<std::int64_t>(bytes));
+      r.formula.shrinkToFit();
+    }
+    // Trimmed, the arrays hold exactly the clauses: no per-clause blocks.
+    std::size_t lits = 0;
+    for (const Clause& c : r.hard) lits += c.size();
+    for (const auto& [c, weight] : r.soft) lits += c.size();
+    const std::size_t clauses = r.hard.size() + r.soft.size();
+    EXPECT_EQ(r.formula.memBytesEstimate(),
+              static_cast<std::int64_t>(
+                  lits * sizeof(Lit) + clauses * sizeof(ClauseStore::Offset) +
+                  r.soft.size() * sizeof(Weight)));
+  }
+}
+
+TEST(WcnfStore, CostAndSatisfiedCountMatchAPerClauseEvaluation) {
+  std::mt19937 rng(3);
+  const auto satisfied = [](const Clause& c, const Assignment& a) {
+    return std::ranges::any_of(c, [&](Lit p) {
+      return applySign(a[static_cast<std::size_t>(p.var())], p) == lbool::True;
+    });
+  };
+  int feasible = 0;
+  int infeasible = 0;
+  for (int round = 0; round < 300; ++round) {
+    const RandomWcnf r = randomWcnf(rng, 1 + round % 7);
+    Assignment a(static_cast<std::size_t>(r.formula.numVars()));
+    for (lbool& v : a) v = rng() % 2 == 0 ? lbool::True : lbool::False;
+    bool hardOk = true;
+    for (const Clause& c : r.hard) hardOk = hardOk && satisfied(c, a);
+    Weight cost = 0;
+    int sat = 0;
+    for (const auto& [c, weight] : r.soft) {
+      if (satisfied(c, a)) {
+        ++sat;
+      } else {
+        cost += weight;
+      }
+    }
+    if (!hardOk) {
+      ++infeasible;
+      EXPECT_FALSE(r.formula.cost(a).has_value()) << "round " << round;
+      EXPECT_FALSE(r.formula.numSoftSatisfied(a).has_value());
+      continue;
+    }
+    ++feasible;
+    EXPECT_EQ(r.formula.cost(a), cost) << "round " << round;
+    EXPECT_EQ(r.formula.numSoftSatisfied(a), sat) << "round " << round;
+  }
+  EXPECT_GT(feasible, 0);
+  EXPECT_GT(infeasible, 0);
 }
 
 TEST(Dimacs, ErrorOnMissingHeader) {

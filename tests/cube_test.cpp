@@ -134,7 +134,7 @@ TEST(CubeSplit, CubesCoverEveryHardModel) {
   int hardModels = 0;
   for (std::uint32_t mask = 0; mask < (1u << w.numVars()); ++mask) {
     bool sat = true;
-    for (const Clause& c : w.hard()) {
+    for (const std::span<const Lit> c : w.hard()) {
       if (!clauseTrue(c, mask)) {
         sat = false;
         break;

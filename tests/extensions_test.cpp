@@ -261,7 +261,7 @@ PreprocessResult referencePreprocess(const WcnfFormula& w) {
   };
   for (bool changed = true; changed;) {
     changed = false;
-    for (const Clause& c : w.hard()) {
+    for (const std::span<const Lit> c : w.hard()) {
       std::set<Lit> open;
       bool sat = false;
       for (const Lit p : c) {
@@ -283,7 +283,7 @@ PreprocessResult referencePreprocess(const WcnfFormula& w) {
   r.fixedVars = static_cast<int>(n) -
                 static_cast<int>(std::ranges::count(r.forced, lbool::Undef));
 
-  auto reduce = [&](const Clause& c) -> std::optional<Clause> {
+  auto reduce = [&](std::span<const Lit> c) -> std::optional<Clause> {
     Clause out;
     for (const Lit p : c) {
       if (litValue(p) == lbool::True) return std::nullopt;
@@ -298,7 +298,7 @@ PreprocessResult referencePreprocess(const WcnfFormula& w) {
   };
   WcnfFormula simplified(w.numVars());
   std::map<Clause, bool> seenHard;
-  for (const Clause& h : w.hard()) {
+  for (const std::span<const Lit> h : w.hard()) {
     const std::optional<Clause> c = reduce(h);
     if (!c || !seenHard.emplace(*c, true).second) {
       ++r.removedHard;
@@ -307,7 +307,7 @@ PreprocessResult referencePreprocess(const WcnfFormula& w) {
     simplified.addHard(*c);
   }
   std::map<Clause, std::size_t> softIndex;
-  std::vector<SoftClause> softOut;
+  std::vector<std::pair<Clause, Weight>> softOut;
   for (const SoftClause& s : w.soft()) {
     const std::optional<Clause> c = reduce(s.lits);
     if (!c || c->empty()) {
@@ -316,14 +316,14 @@ PreprocessResult referencePreprocess(const WcnfFormula& w) {
       continue;
     }
     if (auto it = softIndex.find(*c); it != softIndex.end()) {
-      softOut[it->second].weight += s.weight;
+      softOut[it->second].second += s.weight;
       ++r.mergedSoft;
       continue;
     }
     softIndex.emplace(*c, softOut.size());
-    softOut.push_back(SoftClause{*c, s.weight});
+    softOut.emplace_back(*c, s.weight);
   }
-  for (const SoftClause& s : softOut) simplified.addSoft(s.lits, s.weight);
+  for (const auto& [lits, weight] : softOut) simplified.addSoft(lits, weight);
   r.simplified = std::move(simplified);
   return r;
 }

@@ -146,7 +146,7 @@ TEST(FuzzSimp, PreprocessSolveReconstructAtScale) {
       Solver b;
       for (Var v = 0; v < g.numVars(); ++v) static_cast<void>(b.newVar());
       bool okB = true;
-      for (const Clause& c : g.hard()) okB = okB && b.addClause(c);
+      for (const std::span<const Lit> c : g.hard()) okB = okB && b.addClause(c);
       verdictSimplified = okB ? b.solve() : lbool::False;
       if (verdictSimplified == lbool::True) model = b.model();
     }

@@ -251,11 +251,11 @@ TEST(Debug, InstanceIsHardFeasibleAndSoftInconsistent) {
 
   // Hard part alone must be satisfiable; hard+soft must not.
   CnfFormula hard(inst.wcnf.numVars());
-  for (const Clause& h : inst.wcnf.hard()) hard.addClause(h);
+  for (const std::span<const Lit> h : inst.wcnf.hard()) hard.addClause(h);
   EXPECT_EQ(solveCnf(hard), lbool::True);
 
   CnfFormula all(inst.wcnf.numVars());
-  for (const Clause& h : inst.wcnf.hard()) all.addClause(h);
+  for (const std::span<const Lit> h : inst.wcnf.hard()) all.addClause(h);
   for (const SoftClause& s : inst.wcnf.soft()) all.addClause(s.lits);
   EXPECT_EQ(solveCnf(all), lbool::False);
 }

@@ -9,7 +9,9 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <string>
 
+#include "cnf/dimacs.h"
 #include "cnf/oracle.h"
 #include "core/binary_search.h"
 #include "core/msu1.h"
@@ -317,6 +319,77 @@ TEST(Factory, EveryListedNameBuildsADistinctEngine) {
     EXPECT_TRUE(fresh) << name << " and " << it->second << " both build "
                        << built;
   }
+}
+
+// ---- The unit-weight path: storage does not steer the search -------------
+
+/// A unit-weight partial instance with a planted model, as DIMACS text:
+/// hard clauses that a hidden assignment satisfies plus random
+/// unit-weight softs.
+std::string plantedUnitWcnf(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const int vars = 10 + static_cast<int>(rng() % 5);
+  std::vector<bool> hidden(static_cast<std::size_t>(vars));
+  for (std::size_t v = 0; v < hidden.size(); ++v) hidden[v] = rng() % 2 == 0;
+  const int hards = vars;
+  const int softs = 3 * vars;
+  std::string body;
+  const auto clause = [&](bool planted) {
+    const int len = 1 + static_cast<int>(rng() % 3);
+    std::vector<int> lits;
+    for (int k = 0; k < len; ++k) {
+      const int v = static_cast<int>(rng() % static_cast<std::uint64_t>(vars));
+      lits.push_back(rng() % 2 == 0 ? v + 1 : -(v + 1));
+    }
+    if (planted) {
+      const int v = std::abs(lits[0]) - 1;
+      lits[0] = hidden[static_cast<std::size_t>(v)] ? v + 1 : -(v + 1);
+    }
+    for (const int l : lits) body += std::to_string(l) + " ";
+    body += "0\n";
+  };
+  for (int i = 0; i < hards; ++i) {
+    body += "h ";
+    clause(true);
+  }
+  for (int i = 0; i < softs; ++i) {
+    body += "1 ";
+    clause(false);
+  }
+  return "c planted unit-weight instance\n" + body;
+}
+
+TEST(UnitWeightPath, ParsedAndRebuiltFormulasSearchIdentically) {
+  std::int64_t conflicts = 0;
+  std::int64_t decisions = 0;
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    const WcnfFormula parsed = parseDimacsWcnf(plantedUnitWcnf(seed));
+    ASSERT_TRUE(parsed.isUnweighted());
+    WcnfFormula rebuilt(parsed.numVars());
+    for (const std::span<const Lit> h : parsed.hard()) rebuilt.addHard(h);
+    for (const SoftClause& s : parsed.soft()) rebuilt.addSoft(s.lits, s.weight);
+    const OracleResult ref = oracleMaxSat(parsed);
+    ASSERT_TRUE(ref.optimumCost.has_value()) << "seed " << seed;
+    for (const std::string name :
+         {"msu4-v2", "msu3", "msu1", "binary", "maxsatz"}) {
+      const MaxSatResult a = makeSolver(name, {})->solve(parsed);
+      const MaxSatResult b = makeSolver(name, {})->solve(rebuilt);
+      ASSERT_EQ(a.status, MaxSatStatus::Optimum) << name << " seed " << seed;
+      EXPECT_EQ(a.cost, *ref.optimumCost) << name << " seed " << seed;
+      EXPECT_EQ(parsed.cost(a.model), a.cost) << name << " seed " << seed;
+      EXPECT_EQ(b.status, a.status) << name << " seed " << seed;
+      EXPECT_EQ(b.cost, a.cost) << name << " seed " << seed;
+      EXPECT_EQ(b.iterations, a.iterations) << name << " seed " << seed;
+      EXPECT_EQ(b.satStats.conflicts, a.satStats.conflicts) << name;
+      EXPECT_EQ(b.satStats.propagations, a.satStats.propagations) << name;
+      EXPECT_EQ(b.satStats.decisions, a.satStats.decisions) << name;
+      conflicts += a.satStats.conflicts;
+      decisions += a.satStats.decisions;
+    }
+  }
+  // The comparison covered real search, not just root propagation.
+  EXPECT_GT(conflicts, 0);
+  EXPECT_GT(decisions, 0);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <random>
 
 #include "cnf/oracle.h"
@@ -452,6 +453,68 @@ TEST(OllTest, WeightedMaxCutChargeSplittingRegression) {
       EXPECT_EQ(r.cost, *truth.optimumCost) << n << "/" << seed;
       EXPECT_EQ(w.cost(r.model), r.cost) << n << "/" << seed;
     }
+  }
+}
+
+// ---- UnitWeightForm: the duplication engines' shared helper --------------
+
+/// The duplication engines that run a CDCL oracle session.
+const std::vector<std::string> kDuplicatingEngines = {"msu4-v2", "msu3",
+                                                      "msu1", "binary"};
+
+/// Every soft of `w` at weight `weight`.
+WcnfFormula reweighted(const WcnfFormula& w, Weight weight) {
+  WcnfFormula out(w.numVars());
+  for (const std::span<const Lit> h : w.hard()) out.addHard(h);
+  for (const SoftClause& s : w.soft()) out.addSoft(s.lits, weight);
+  return out;
+}
+
+TEST(UnitWeightForm, UnitWeightsAreSolvedWithoutACopy) {
+  const WcnfFormula w = reweighted(randomWeighted(5, 1), 1);
+  const UnitWeightForm unit(w);
+  ASSERT_TRUE(unit.ok());
+  EXPECT_EQ(&unit.formula(), &w);
+  EXPECT_EQ(unit.copyBytes(), 0);
+  for (const std::string& name : kDuplicatingEngines) {
+    MaxSatOptions o;
+    o.sat.external_mem_bytes = 4096;
+    const MaxSatResult r = makeSolver(name, o)->solve(w);
+    ASSERT_EQ(r.status, MaxSatStatus::Optimum) << name;
+    EXPECT_EQ(r.satStats.mem_external_bytes, 4096) << name;
+  }
+}
+
+TEST(UnitWeightForm, TheDuplicationCopyIsChargedToTheMemoryAccounting) {
+  const WcnfFormula w = reweighted(randomWeighted(6, 1), 2);
+  const UnitWeightForm unit(w);
+  ASSERT_TRUE(unit.ok());
+  EXPECT_NE(&unit.formula(), &w);
+  EXPECT_EQ(unit.formula().numSoft(), 2 * w.numSoft());
+  const std::int64_t copy = w.unweighted()->memBytesEstimate();
+  EXPECT_EQ(unit.copyBytes(), copy);
+  ASSERT_GT(copy, 0);
+  for (const std::string& name : kDuplicatingEngines) {
+    MaxSatOptions o;
+    o.sat.external_mem_bytes = 4096;
+    const MaxSatResult r = makeSolver(name, o)->solve(w);
+    ASSERT_EQ(r.status, MaxSatStatus::Optimum) << name;
+    EXPECT_EQ(r.satStats.mem_external_bytes, 4096 + copy) << name;
+  }
+}
+
+TEST(UnitWeightForm, ACapBelowTheCopyAbortsWithMemory) {
+  const WcnfFormula w = reweighted(randomWeighted(7, 1), 3);
+  const std::int64_t copy = w.unweighted()->memBytesEstimate();
+  for (const std::string& name : kDuplicatingEngines) {
+    std::atomic<int> sink{static_cast<int>(AbortReason::kNone)};
+    MaxSatOptions o;
+    o.budget.setMaxMemory(copy - 1);
+    o.budget.setAbortSink(&sink);
+    const MaxSatResult r = makeSolver(name, o)->solve(w);
+    EXPECT_EQ(r.status, MaxSatStatus::Unknown) << name;
+    EXPECT_EQ(static_cast<AbortReason>(sink.load()), AbortReason::kMemory)
+        << name;
   }
 }
 
