@@ -69,7 +69,7 @@ using namespace msu;
 
 /// preprocess-wcnf may take at most this multiple of parse-wcnf/on's
 /// wall on the same document (enforced at --target-mb >= 16).
-constexpr double kMaxPreprocessToParse = 6.0;
+constexpr double kMaxPreprocessToParse = 3.0;
 /// parse-wcnf/on and preprocess-wcnf may hold at most this many formula
 /// bytes (the mem_bytes counter, WcnfFormula::memBytesEstimate) per
 /// input byte (enforced at --target-mb >= 16).

@@ -44,6 +44,7 @@ class BnbEngine {
     tmpStampArr_.assign(static_cast<std::size_t>(n_), 0);
     tmpVal_.assign(static_cast<std::size_t>(n_), false);
     tmpReason_.assign(static_cast<std::size_t>(n_), -1);
+    mem_bytes_ = opts_.external_mem_bytes + heapBytes();
     // Clauses empty from the start are permanently falsified.
     for (std::size_t ci = 0; ci < m; ++ci) {
       if (clauses_[ci].lits.empty()) {
@@ -66,27 +67,32 @@ class BnbEngine {
     }
 
     ub_ = m + 1;
-    WalkSatOptions wo;
-    wo.maxFlips = kWalksatFlips;
-    wo.restarts = 2;
-    wo.budget = opts_.budget;
-    const WalkSatResult ws = walksatMaxSat(formula_, wo);
-    if (ws.hardFeasible) {
-      ub_ = ws.bestCost;
-      bestModel_ = ws.model;
-    }
-
-    // Root-level lower bound, reported when the budget runs out.
-    rootLb_ = static_cast<Weight>(falsifiedSoft_) + upUnderestimate();
-
-    // Seed hard unit clauses.
-    for (std::size_t ci = 0; ci < clauses_.size(); ++ci) {
-      if (clauses_[ci].hard && clauses_[ci].lits.size() == 1) {
-        unitQueue_.push_back(static_cast<int>(ci));
+    rootLb_ = static_cast<Weight>(falsifiedSoft_);
+    // The copy is already held: a cap below it stops the run here.
+    bool aborted = opts_.budget.memoryExhausted(mem_bytes_);
+    if (!aborted) {
+      WalkSatOptions wo;
+      wo.maxFlips = kWalksatFlips;
+      wo.restarts = 2;
+      wo.budget = opts_.budget;
+      const WalkSatResult ws = walksatMaxSat(formula_, wo);
+      if (ws.hardFeasible) {
+        ub_ = ws.bestCost;
+        bestModel_ = ws.model;
       }
-    }
 
-    const bool aborted = search();
+      // Root-level lower bound, reported when the budget runs out.
+      rootLb_ += upUnderestimate();
+
+      // Seed hard unit clauses.
+      for (std::size_t ci = 0; ci < clauses_.size(); ++ci) {
+        if (clauses_[ci].hard && clauses_[ci].lits.size() == 1) {
+          unitQueue_.push_back(static_cast<int>(ci));
+        }
+      }
+
+      aborted = search();
+    }
 
     result.iterations = nodes_;
     if (aborted) {
@@ -348,6 +354,30 @@ class BnbEngine {
     return best;
   }
 
+  // ---- memory accounting -------------------------------------------------
+
+  /// Heap bytes of the clause copy, the occurrence lists and the
+  /// per-clause and per-variable arrays.
+  [[nodiscard]] std::int64_t heapBytes() const {
+    std::size_t b = clauses_.capacity() * sizeof(BClause) +
+                    occ_.capacity() * sizeof(std::vector<int>);
+    for (const BClause& c : clauses_) b += c.lits.capacity() * sizeof(Lit);
+    for (const std::vector<int>& o : occ_) b += o.capacity() * sizeof(int);
+    b += (trueCnt_.capacity() + falseCnt_.capacity()) * sizeof(int) +
+         clauseDisabledStamp_.capacity() * sizeof(std::uint32_t);
+    b += val_.capacity() * sizeof(lbool) +
+         tmpStampArr_.capacity() * sizeof(std::uint32_t) +
+         tmpVal_.capacity() / 8 + tmpReason_.capacity() * sizeof(int);
+    return static_cast<std::int64_t>(b);
+  }
+
+  /// Bytes charged to the cap: the construction-time heap plus the
+  /// trail, which grows with the search depth.
+  [[nodiscard]] std::int64_t memBytes() const {
+    return mem_bytes_ +
+           static_cast<std::int64_t>(trail_.capacity() * sizeof(Lit));
+  }
+
   // ---- search -------------------------------------------------------------
 
   [[nodiscard]] Assignment completedBestModel() const {
@@ -372,9 +402,12 @@ class BnbEngine {
   /// Depth-first branch and bound; returns true iff aborted on budget.
   bool search() {
     ++nodes_;
-    // The node cap is exact; the clock is read every 256 nodes.
+    // The node cap is exact; the clock and the memory cap are read
+    // every 256 nodes.
     if (opts_.budget.nodesExhausted(nodes_) ||
-        ((nodes_ & 255) == 0 && opts_.budget.timeExpired())) {
+        ((nodes_ & 255) == 0 &&
+         (opts_.budget.timeExpired() ||
+          opts_.budget.memoryExhausted(memBytes())))) {
       return true;
     }
     const std::size_t mark = trail_.size();
@@ -439,6 +472,7 @@ class BnbEngine {
   std::uint32_t tmpStamp_ = 0;
   std::uint32_t roundStamp_ = 0;
 
+  std::int64_t mem_bytes_ = 0;  // charged at construction (see heapBytes)
   Weight ub_ = 0;
   Weight rootLb_ = 0;
   Assignment bestModel_;
@@ -452,10 +486,11 @@ BnbSolver::BnbSolver(BnbOptions options) : opts_(options) {}
 std::string BnbSolver::name() const { return "maxsatz-like"; }
 
 MaxSatResult BnbSolver::solve(const WcnfFormula& input) {
-  // No memory accounting here to charge a weight-duplication copy to.
   const UnitWeightForm unit(input);
   if (!unit.ok()) return tooHeavyToDuplicate(input);
-  BnbEngine engine(unit.formula(), opts_);
+  BnbOptions opts = opts_;
+  opts.external_mem_bytes += unit.copyBytes();
+  BnbEngine engine(unit.formula(), opts);
   return engine.run();
 }
 

@@ -26,7 +26,14 @@ namespace msu {
 
 /// Options for the branch-and-bound engine.
 struct BnbOptions {
+  /// Wall, node and memory limits. The memory cap covers the engine's
+  /// clause copy and occurrence lists plus `external_mem_bytes`; it is
+  /// checked before the search and with the clock every 256 nodes.
   Budget budget;
+
+  /// Bytes the caller charges to this run on top of the engine's own
+  /// (formula storage, a weight-duplication copy).
+  std::int64_t external_mem_bytes = 0;
 };
 
 /// The maxsatz-like engine.

@@ -438,7 +438,7 @@ bool fastLoadDimacsCnfInto(const InputBuffer& buf, Solver& solver) {
   FastCursor cur(buf);
   const FpHeader h = readFpHeader(cur);
   if (h.wcnf) throw DimacsError("expected cnf, got wcnf");
-  while (solver.numVars() < h.vars) static_cast<void>(solver.newVar());
+  while (solver.numVars() < h.vars) solver.newVars(h.vars - solver.numVars());
   {
     const Solver::BulkLoadGuard bulk(solver, solver.options().bulk_load);
     Clause c;

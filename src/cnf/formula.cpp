@@ -94,8 +94,14 @@ std::uint32_t ClauseIdTable::hashOf(std::span<const Lit> lits) {
   return static_cast<std::uint32_t>(h ^ (h >> 31));
 }
 
-void ClauseIdTable::grow() {
-  std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
+void ClauseIdTable::reserve(std::size_t n) {
+  std::size_t slots = std::max<std::size_t>(16, slots_.size());
+  while (slots < 2 * n) slots *= 2;
+  if (slots > slots_.size()) rehash(slots);
+}
+
+void ClauseIdTable::rehash(std::size_t slots) {
+  std::vector<Slot> old(slots);
   old.swap(slots_);
   const std::size_t mask = slots_.size() - 1;
   for (const Slot& s : old) {

@@ -137,6 +137,10 @@ class ClauseIdTable {
     return id;
   }
 
+  /// Sizes the slot array for `n` ids, so that many inserts never grow
+  /// it. Ids and insert() results are the same as without it.
+  void reserve(std::size_t n);
+
   /// Number of stored ids.
   [[nodiscard]] std::size_t size() const { return size_; }
 
@@ -166,8 +170,12 @@ class ClauseIdTable {
     }
   }
 
-  /// Doubles the slot array and re-places every id by its stored hash.
-  void grow();
+  /// Doubles the slot array.
+  void grow() { rehash(std::max<std::size_t>(16, 2 * slots_.size())); }
+
+  /// Moves to `slots` slots (a power of two) and re-places every id by
+  /// its stored hash.
+  void rehash(std::size_t slots);
 
   std::vector<Slot> slots_;
   std::size_t size_ = 0;

@@ -98,13 +98,10 @@ class OracleSession {
 
   // ---- Loading ---------------------------------------------------------
 
-  /// Ensures the solver knows at least `n` variables (reserved up front,
-  /// then created).
+  /// Ensures the solver knows at least `n` variables. A recycled
+  /// variable adds no slot, hence the loop.
   void ensureVars(int n) {
-    sat_.reserveVars(n);
-    while (sat_.numVars() < n) {
-      static_cast<void>(sat_.newVar());
-    }
+    while (sat_.numVars() < n) sat_.newVars(n - sat_.numVars());
   }
 
   /// Loads the hard clauses of `f` (creating its variables first).
@@ -178,8 +175,11 @@ class OracleSession {
     lbool res;
     if (!tracker_) {
       res = sat_.solve(extra);
+    } else if (extra.empty()) {
+      res = sat_.solve(tracker_->assumptions());  // no copy
     } else {
-      assumps_buf_ = tracker_->assumptions();
+      const std::vector<Lit>& tracked = tracker_->assumptions();
+      assumps_buf_.assign(tracked.begin(), tracked.end());
       assumps_buf_.insert(assumps_buf_.end(), extra.begin(), extra.end());
       res = sat_.solve(assumps_buf_);
     }

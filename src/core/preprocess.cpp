@@ -10,23 +10,99 @@ namespace {
 
 /// Root-level unit propagation over the hard clauses: every variable's
 /// forced value (Undef where free), or nullopt when propagation refutes
-/// them. The solver and its arena live only inside this call.
+/// them. It works on the formula's spans directly: each clause keeps a
+/// count of its distinct literals not yet false, and a literal's
+/// occurrence list (CSR, built by counting) names the clauses whose
+/// count drops when it becomes false. A clause whose count reaches 1 is
+/// scanned once for a true literal or its last free one; a count of 0
+/// is a conflict. Duplicate literals are counted once and tautologies
+/// need no special case: one of their two complementary literals is
+/// never false.
 std::optional<Assignment> propagateHard(const WcnfFormula& formula) {
-  Solver up;
-  up.reserveVars(formula.numVars());
-  while (up.numVars() < formula.numVars()) static_cast<void>(up.newVar());
+  const ClauseStore& hard = formula.hard();
+  const auto numLits = 2 * static_cast<std::size_t>(formula.numVars());
+  Assignment value(static_cast<std::size_t>(formula.numVars()), lbool::Undef);
+  const auto valueOf = [&](Lit p) {
+    return applySign(value[static_cast<std::size_t>(p.var())], p);
+  };
+  std::vector<Lit> trail;
+  // False when `p` is already false; otherwise assigns it true.
+  const auto enqueue = [&](Lit p) {
+    const lbool v = valueOf(p);
+    if (v == lbool::Undef) {
+      value[static_cast<std::size_t>(p.var())] = toLbool(!p.negative());
+      trail.push_back(p);
+    }
+    return v != lbool::False;
+  };
+
+  // Calls `f(p)` once per distinct literal of clause `i`. A literal's
+  // stamp holds the last clause that visited it; a pass tags clause
+  // ids with `tag` to keep its stamps apart from the previous pass's.
+  std::vector<std::uint32_t> stamp(numLits, 0);
+  const auto forEachDistinct = [&](std::size_t i, std::uint32_t tag,
+                                   auto&& f) {
+    const auto mark = static_cast<std::uint32_t>(i) * 2 + tag;
+    for (const Lit p : hard[i]) {
+      std::uint32_t& st = stamp[static_cast<std::size_t>(p.index())];
+      if (st == mark) continue;
+      st = mark;
+      f(p);
+    }
+  };
+
+  // Pass 1: distinct-literal counts per clause and occurrences per
+  // literal; clauses with fewer than two literals are units or empty.
+  std::vector<std::uint32_t> count(hard.size(), 0);
+  std::vector<std::uint32_t> occBegin(numLits + 1, 0);
+  for (std::size_t i = 0; i < hard.size(); ++i) {
+    forEachDistinct(i, 1, [&](Lit p) {
+      ++count[i];
+      ++occBegin[static_cast<std::size_t>(p.index()) + 1];
+    });
+    if (count[i] == 0) return std::nullopt;
+    if (count[i] == 1 && !enqueue(hard[i][0])) return std::nullopt;
+  }
+  if (trail.empty()) {
+    return value;  // nothing to propagate
+  }
+  for (std::size_t l = 0; l < numLits; ++l) occBegin[l + 1] += occBegin[l];
+
+  // Pass 2: the occurrence lists themselves.
+  std::vector<std::uint32_t> occ(occBegin[numLits]);
   {
-    Solver::BulkLoadGuard bulk(up);
-    for (const std::span<const Lit> h : formula.hard()) {
-      if (!up.addClause(h)) break;
+    std::vector<std::uint32_t> fill(occBegin.begin(), occBegin.end() - 1);
+    for (std::size_t i = 0; i < hard.size(); ++i) {
+      forEachDistinct(i, 2, [&](Lit p) {
+        occ[fill[static_cast<std::size_t>(p.index())]++] =
+            static_cast<std::uint32_t>(i);
+      });
     }
   }
-  if (!up.okay()) return std::nullopt;
-  Assignment forced(static_cast<std::size_t>(formula.numVars()));
-  for (Var v = 0; v < formula.numVars(); ++v) {
-    forced[static_cast<std::size_t>(v)] = up.value(v);
+
+  // Propagation: every trail literal makes its complement false.
+  for (std::size_t head = 0; head < trail.size(); ++head) {
+    const auto falsified = static_cast<std::size_t>((~trail[head]).index());
+    for (std::uint32_t k = occBegin[falsified]; k < occBegin[falsified + 1];
+         ++k) {
+      const std::uint32_t c = occ[k];
+      const std::uint32_t left = --count[c];
+      if (left > 1) continue;
+      Lit unit = kUndefLit;
+      bool satisfied = false;
+      for (const Lit p : hard[c]) {
+        const lbool v = valueOf(p);
+        if (v == lbool::True) {
+          satisfied = true;
+          break;
+        }
+        if (v == lbool::Undef) unit = p;
+      }
+      if (satisfied) continue;
+      if (unit == kUndefLit || !enqueue(unit)) return std::nullopt;
+    }
   }
-  return forced;
+  return value;
 }
 
 }  // namespace
@@ -72,6 +148,7 @@ PreprocessResult preprocessWcnf(const WcnfFormula& formula) {
   // propagation above.
   {
     ClauseIdTable seen;
+    seen.reserve(formula.hard().size());
     const auto litsOf = [&](ClauseIdTable::Id i) {
       return simplified.hard()[i];
     };
@@ -88,6 +165,7 @@ PreprocessResult preprocessWcnf(const WcnfFormula& formula) {
   // Soft clauses: reduce, charge falsified ones, merge duplicates into
   // their first occurrence.
   ClauseIdTable seen;
+  seen.reserve(formula.soft().size());
   const auto litsOf = [&](ClauseIdTable::Id i) {
     return simplified.soft().clauses()[i];
   };
@@ -142,10 +220,7 @@ SimplifyResult simplifyHard(const WcnfFormula& formula) {
   Solver::Options opts;
   opts.inprocess = true;
   Solver solver(opts);
-  solver.reserveVars(formula.numVars());
-  while (solver.numVars() < formula.numVars()) {
-    static_cast<void>(solver.newVar());
-  }
+  solver.newVars(formula.numVars());
   for (const SoftClause& s : formula.soft()) {
     for (const Lit p : s.lits) solver.setFrozen(p.var(), true);
   }

@@ -9,11 +9,12 @@ SoftTracker::SoftTracker(Solver& solver, const WcnfFormula& formula) {
   assert(formula.isUnweighted());
   num_original_vars_ = formula.numVars();
   const int numSoft = formula.numSoft();
-  // Selectors take the variables right after the original ones.
+  // Selectors take the variables right after the original ones; the
+  // originals and the selectors are created in one step. A recycled
+  // variable adds no slot, hence the loop: every selector is fresh.
   const int firstSelector = std::max(solver.numVars(), num_original_vars_);
-  solver.reserveVars(firstSelector + numSoft);
-  while (solver.numVars() < num_original_vars_) {
-    static_cast<void>(solver.newVar());
+  while (solver.numVars() < firstSelector + numSoft) {
+    solver.newVars(firstSelector + numSoft - solver.numVars());
   }
   for (const std::span<const Lit> h : formula.hard()) {
     static_cast<void>(solver.addClause(h));
@@ -23,7 +24,7 @@ SoftTracker::SoftTracker(Solver& solver, const WcnfFormula& formula) {
   var_to_soft_.assign(static_cast<std::size_t>(firstSelector + numSoft), -1);
   Clause augmented;  // one buffer for every selector-augmented clause
   for (int i = 0; i < numSoft; ++i) {
-    const Var a = solver.newVar();
+    const Var a = firstSelector + i;
     // The protocol depends on the selector's textual presence in its
     // soft clause (assuming ~a enforces it, cores name it): freeze it
     // so inprocessing never strengthens the selector away.
@@ -36,6 +37,8 @@ SoftTracker::SoftTracker(Solver& solver, const WcnfFormula& formula) {
     augmented.push_back(posLit(a));
     static_cast<void>(solver.addClause(augmented));
   }
+  assumptions_.reserve(selectors_.size());
+  for (const Lit a : selectors_) assumptions_.push_back(~a);
 }
 
 std::optional<int> SoftTracker::softOfVar(Var v) const {
@@ -47,23 +50,19 @@ std::optional<int> SoftTracker::softOfVar(Var v) const {
   return idx;
 }
 
-std::vector<Lit> SoftTracker::assumptions() const {
-  std::vector<Lit> out;
-  out.reserve(selectors_.size());
-  for (int i = 0; i < numSoft(); ++i) {
-    if (!isRelaxed(i)) out.push_back(~selectors_[static_cast<std::size_t>(i)]);
-  }
-  // Canonical prefix-stable order (see the header contract): ascending
-  // selector variable. Construction already allocates selectors in
-  // ascending order, so the sort is a no-op guard — but the warm-start
-  // prefix reuse in the solver depends on the order, so it is enforced
-  // rather than assumed.
-  if (!std::is_sorted(out.begin(), out.end(),
-                      [](Lit a, Lit b) { return a.var() < b.var(); })) {
-    std::stable_sort(out.begin(), out.end(),
-                     [](Lit a, Lit b) { return a.var() < b.var(); });
-  }
-  return out;
+const std::vector<Lit>& SoftTracker::assumptions() {
+  if (stale_from_ == kUndefVar) return assumptions_;
+  // Everything before the least newly relaxed selector stays; one pass
+  // drops the relaxed ones from there on.
+  const auto from = std::ranges::lower_bound(
+      assumptions_, stale_from_, {}, [](Lit p) { return p.var(); });
+  const auto tail = std::ranges::remove_if(
+      from, assumptions_.end(), [&](Lit p) {
+        return isRelaxed(var_to_soft_[static_cast<std::size_t>(p.var())]);
+      });
+  assumptions_.erase(tail.begin(), tail.end());
+  stale_from_ = kUndefVar;
+  return assumptions_;
 }
 
 std::vector<Lit> SoftTracker::blockingLits() const {
@@ -88,8 +87,7 @@ std::vector<int> SoftTracker::coreSoftIndices(std::span<const Lit> core) const {
 int SoftTracker::relaxedFalsifiedCost(const WcnfFormula& formula,
                                       const std::vector<lbool>& model) const {
   int cost = 0;
-  for (int i = 0; i < numSoft(); ++i) {
-    if (!isRelaxed(i)) continue;
+  for (const int i : relax_order_) {
     const std::span<const Lit> c =
         formula.soft()[static_cast<std::size_t>(i)].lits;
     bool sat = false;
@@ -107,8 +105,7 @@ int SoftTracker::relaxedFalsifiedCost(const WcnfFormula& formula,
 
 int SoftTracker::blockingAssignedTrue(const std::vector<lbool>& model) const {
   int n = 0;
-  for (int i = 0; i < numSoft(); ++i) {
-    if (!isRelaxed(i)) continue;
+  for (const int i : relax_order_) {
     const Lit a = selectors_[static_cast<std::size_t>(i)];
     if (applySign(model[static_cast<std::size_t>(a.var())], a) == lbool::True) {
       ++n;

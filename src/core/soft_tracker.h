@@ -52,6 +52,8 @@ class SoftTracker {
       relaxed_[static_cast<std::size_t>(i)] = 1;
       relax_order_.push_back(i);
       ++num_relaxed_;
+      const Var a = selectors_[static_cast<std::size_t>(i)].var();
+      if (stale_from_ == kUndefVar || a < stale_from_) stale_from_ = a;
     }
   }
 
@@ -64,14 +66,18 @@ class SoftTracker {
   [[nodiscard]] int numRelaxed() const { return num_relaxed_; }
 
   /// Assumption vector enforcing every non-relaxed soft clause, in
-  /// *canonical* order: ascending selector variable (enforced by a
-  /// stable sort, though construction already creates selectors in
-  /// ascending variable order). The order is part of the tracker's
-  /// contract — consecutive oracle calls differ only where clauses were
-  /// relaxed in between, so a warm-started solver
+  /// *canonical* order: ascending selector variable (construction
+  /// creates the selectors in that order). The order is part of the
+  /// tracker's contract — consecutive oracle calls differ only where
+  /// clauses were relaxed in between, so a warm-started solver
   /// (Solver::Options::reuse_trail) reuses the maximal trail prefix;
   /// see the prefix-stability contract in core/oracle_session.h.
-  [[nodiscard]] std::vector<Lit> assumptions() const;
+  ///
+  /// The tracker keeps this vector. The clauses relaxed since the last
+  /// call leave it in one compaction from the first of them, so a call
+  /// costs the changed suffix, not the number of softs. The reference
+  /// stays valid until the next call.
+  [[nodiscard]] const std::vector<Lit>& assumptions();
 
   /// Selector literals of all relaxed clauses (the blocking variables),
   /// in *relaxation order* — strictly append-only as relaxation grows,
@@ -103,6 +109,8 @@ class SoftTracker {
   std::vector<char> relaxed_;     // 1 = blocking variable freed
   std::vector<int> relax_order_;  // soft indices in relaxation order
   std::vector<int> var_to_soft_;  // var -> soft index (-1 if none)
+  std::vector<Lit> assumptions_;  // ~a_i of the unrelaxed, by variable
+  Var stale_from_ = kUndefVar;    // least selector relaxed since then
 };
 
 }  // namespace msu

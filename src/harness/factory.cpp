@@ -78,6 +78,7 @@ std::unique_ptr<MaxSatSolver> makeSolver(const std::string& name,
   if (name == "maxsatz") {
     BnbOptions bo;
     bo.budget = options.budget;
+    bo.external_mem_bytes = options.sat.external_mem_bytes;
     return std::make_unique<BnbSolver>(bo);
   }
   if (name.rfind("portfolio", 0) == 0) {

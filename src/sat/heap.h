@@ -4,6 +4,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -26,10 +27,23 @@ class VarOrderHeap {
     return v < static_cast<Var>(indices_.size()) && indices_[v] >= 0;
   }
 
-  /// Reserves room for variables `0 .. n-1`.
-  void reserve(std::size_t n) {
-    indices_.reserve(n);
-    heap_.reserve(n);
+  /// Appends the fresh variables `first .. end-1` in index order. Their
+  /// activity must be 0, no larger than any other, so each would stay
+  /// where insert() puts it: the state equals inserting them one by one.
+  void appendFresh(Var first, Var end) {
+    if (end <= first) return;
+    if (end > static_cast<Var>(indices_.size())) {
+      indices_.resize(static_cast<std::size_t>(end), -1);
+    }
+    const std::size_t total = heap_.size() + static_cast<std::size_t>(end - first);
+    if (total > heap_.capacity()) {
+      heap_.reserve(std::max(total, 2 * heap_.size()));
+    }
+    for (Var v = first; v < end; ++v) {
+      assert(!contains(v) && activity_[v] == 0.0);
+      indices_[v] = static_cast<int>(heap_.size());
+      heap_.push_back(v);
+    }
   }
 
   /// Inserts `v` (must not be present).

@@ -25,6 +25,8 @@ constexpr double kEmaTrailAlpha = 1.0 / 4096.0;  // trail-size EMA smoothing
 // Luby scale of stable-mode restarts, in multiples of restart_base
 // (stable phases restart rarely by design).
 constexpr int kStableRestartMult = 8;
+// search() polls the budget every this many decisions (a power of two).
+constexpr std::int64_t kDecisionPollPeriod = 4096;
 }  // namespace
 
 double lubySequence(double y, int i) {
@@ -101,25 +103,44 @@ Var Solver::newVar(bool decisionVar, bool scoped) {
   return v;
 }
 
-void Solver::reserveVars(int n) {
-  if (n <= static_cast<int>(assigns_.capacity())) return;
-  const auto nv = static_cast<std::size_t>(n);
-  watches_.reserveLiterals(2 * nv);
-  assigns_.reserve(nv);
-  vardata_.reserve(nv);
-  polarity_.reserve(nv);
-  best_phase_.reserve(nv);
-  decision_.reserve(nv);
-  activity_.reserve(nv);
-  seen_.reserve(nv);
-  frozen_.reserve(nv);
-  eliminated_.reserve(nv);
-  is_activator_.reserve(nv);
-  scope_index_.reserve(nv);
-  var_owner_.reserve(nv);
-  assump_stamp_.reserve(nv);
-  trail_.reserve(nv);
-  order_heap_.reserve(nv);
+namespace {
+/// Grows `v` to `total` elements of `value` with at most one
+/// reallocation, to at least `total` and at least double its size.
+template <class T>
+void growTo(std::vector<T>& v, std::size_t total, const T& value) {
+  if (total > v.capacity()) v.reserve(std::max(total, 2 * v.size()));
+  v.resize(total, value);
+}
+}  // namespace
+
+void Solver::newVars(int n) {
+  if (n <= 0) return;
+  if (!free_vars_.empty() || !scope_stack_.empty()) {
+    // Recycling and scope ownership are per variable: keep newVar().
+    for (int i = 0; i < n; ++i) static_cast<void>(newVar());
+    return;
+  }
+  const Var first = numVars();
+  const auto total = static_cast<std::size_t>(first) +
+                     static_cast<std::size_t>(n);
+  watches_.addLiterals(2 * static_cast<std::size_t>(n));
+  growTo(assigns_, total, lbool::Undef);
+  growTo(vardata_, total, VarData{});
+  growTo(polarity_, total, char{1});
+  growTo(best_phase_, total, char{1});
+  growTo(decision_, total, char{1});
+  growTo(activity_, total, 0.0);
+  growTo(seen_, total, char{0});
+  growTo(frozen_, total, char{0});
+  growTo(eliminated_, total, char{0});
+  growTo(is_activator_, total, char{0});
+  growTo(scope_index_, total, -1);
+  growTo(var_owner_, total, kUndefVar);
+  growTo(assump_stamp_, total, std::uint32_t{0});
+  if (total > trail_.capacity()) {
+    trail_.reserve(std::max(total, 2 * trail_.capacity()));
+  }
+  order_heap_.appendFresh(first, static_cast<Var>(total));
 }
 
 Lit Solver::newActivator() {
@@ -867,8 +888,19 @@ void Solver::analyzeFinal(Lit p, std::vector<Lit>& outConflict) {
   outConflict.push_back(p);
   if (decisionLevel() == 0) return;
 
-  seen_[p.var()] = 1;
-  for (int i = trailSize() - 1; i >= trail_lim_[0]; --i) {
+  // `pending` counts the marked variables above level 0 not yet
+  // reached. Every one of them lies below the walk's position on the
+  // trail, so the walk stops when none is left instead of running down
+  // to the root: the core stays the same, in the same order.
+  int pending = 0;
+  const auto mark = [&](Var v) {
+    if (level(v) > 0 && !seen_[v]) {
+      seen_[v] = 1;
+      ++pending;
+    }
+  };
+  mark(p.var());
+  for (int i = trailSize() - 1; pending > 0 && i >= trail_lim_[0]; --i) {
     const Var v = trail_[i].var();
     if (!seen_[v]) continue;
     const Reason r = reason(v);
@@ -876,17 +908,14 @@ void Solver::analyzeFinal(Lit p, std::vector<Lit>& outConflict) {
       assert(level(v) > 0);
       outConflict.push_back(~trail_[i]);
     } else if (r.isBinary()) {
-      const Lit o = r.other();
-      if (level(o.var()) > 0) seen_[o.var()] = 1;
+      mark(r.other().var());
     } else {
       ClauseRefView c = arena_[r.cref()];
-      for (int k = 1; k < c.size(); ++k) {
-        if (level(c[k].var()) > 0) seen_[c[k].var()] = 1;
-      }
+      for (int k = 1; k < c.size(); ++k) mark(c[k].var());
     }
     seen_[v] = 0;
+    --pending;
   }
-  seen_[p.var()] = 0;
 }
 
 std::uint32_t Solver::computeLbd(std::span<const Lit> lits) {
@@ -1397,6 +1426,13 @@ lbool Solver::search(std::int64_t conflictsBeforeRestart) {
 
       if (next == kUndefLit) {
         ++stats_.decisions;
+        // A conflict-free descent never reaches the conflict-cadence
+        // poll above: poll on decisions too.
+        if ((stats_.decisions & (kDecisionPollPeriod - 1)) == 0 &&
+            pollAborted()) {
+          cancelUntil(0);
+          return lbool::Undef;
+        }
         next = pickBranchLit();
         if (next == kUndefLit) {
           // All variables assigned: model found.

@@ -404,12 +404,13 @@ class Solver {
   /// by it (recycled at retire) unless `scoped` is false.
   Var newVar(bool decisionVar = true, bool scoped = true);
 
-  /// Reserves room for `n` variables in total: every per-variable array,
-  /// the trail, the decision heap and the watch heads, so a bulk run of
-  /// newVar() fills them without a doubling copy. Changes no state. Call
-  /// it once before such a run, not per variable: each call that grows
-  /// the room reallocates to exactly `n`.
-  void reserveVars(int n);
+  /// Creates `n` variables: the same state as `n` newVar() calls, but
+  /// each per-variable array, the trail, the watch heads and the
+  /// decision heap grow once (to at least double their size when they
+  /// grow at all), so the fresh variables are consecutive from the old
+  /// numVars(). With recycled variables pending or a scope open it is
+  /// that loop of newVar() calls.
+  void newVars(int n);
 
   /// Number of variable slots created (recycled or not).
   [[nodiscard]] int numVars() const {

@@ -35,6 +35,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -274,8 +275,15 @@ class WatchTable {
   /// Registers one more literal slot (call twice per new variable).
   void addLiteral() { heads_.emplace_back(); }
 
-  /// Reserves header room for `n` literals in total.
-  void reserveLiterals(std::size_t n) { heads_.reserve(n); }
+  /// Registers `n` more literal slots with one growth of the header
+  /// table, to at least `n` more and at least double its size.
+  void addLiterals(std::size_t n) {
+    const std::size_t total = heads_.size() + n;
+    if (total > heads_.capacity()) {
+      heads_.reserve(std::max(total, 2 * heads_.size()));
+    }
+    heads_.resize(total);
+  }
 
   [[nodiscard]] int numLits() const { return static_cast<int>(heads_.size()); }
 

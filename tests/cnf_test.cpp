@@ -134,6 +134,56 @@ TEST(ClauseIdTable, EveryIdRoundTripsAcrossGrowthSteps) {
   EXPECT_EQ(table.size(), stored.size());
 }
 
+TEST(ClauseIdTable, ReserveThenInsertGivesTheIdsOfGrowth) {
+  // A stream with repeats (one clause in three recurs), inserted into a
+  // table that grows and into one reserved for the whole stream up
+  // front: every insert answers the same id, and the reserved table
+  // never grows.
+  std::mt19937_64 rng(7);
+  std::vector<Clause> stream;
+  for (int i = 0; i < 5000; ++i) {
+    if (!stream.empty() && rng() % 3 == 0) {
+      Clause again = stream[rng() % stream.size()];
+      std::ranges::reverse(again);
+      stream.push_back(again);
+      continue;
+    }
+    Clause c;
+    for (int k = 0, len = 1 + static_cast<int>(rng() % 4); k < len; ++k) {
+      c.push_back(Lit(static_cast<Var>(rng() % 200), (rng() & 1) != 0));
+    }
+    stream.push_back(c);
+  }
+  struct Side {
+    ClauseIdTable table;
+    std::vector<Clause> stored;
+  };
+  Side grown, reserved;
+  reserved.table.reserve(stream.size());
+  const std::size_t reservedCapacity = reserved.table.capacity();
+  EXPECT_GE(reservedCapacity, 2 * stream.size());
+  const auto insert = [](Side& side, Clause c) {
+    if (!normalizeClause(c)) return ClauseIdTable::kNoId;
+    const auto id = static_cast<ClauseIdTable::Id>(side.stored.size());
+    const ClauseIdTable::Id got = side.table.insert(
+        c, id, [&](ClauseIdTable::Id i) -> const Clause& {
+          return side.stored[i];
+        });
+    if (got == id) side.stored.push_back(c);
+    return got;
+  };
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    ASSERT_EQ(insert(reserved, stream[i]), insert(grown, stream[i]))
+        << "clause " << i;
+    ASSERT_EQ(reserved.table.capacity(), reservedCapacity) << "clause " << i;
+  }
+  EXPECT_EQ(reserved.table.size(), grown.table.size());
+  EXPECT_LT(reserved.table.size(), stream.size());  // repeats were merged
+  // Reserving less than the table holds changes nothing.
+  reserved.table.reserve(1);
+  EXPECT_EQ(reserved.table.capacity(), reservedCapacity);
+}
+
 TEST(CnfFormula, EmptyClauseAllowed) {
   CnfFormula f;
   f.addClause(std::initializer_list<Lit>{});

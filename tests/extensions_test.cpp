@@ -440,6 +440,79 @@ TEST(Preprocess, MatchesTheMapBasedReferenceExactly) {
   EXPECT_GT(totals.mergedSoft, 0);
 }
 
+/// Hard clauses built to make unit propagation cascade: implication
+/// chains and trees under a few units (binary and longer links),
+/// duplicate literals, tautologies, clauses a forced value satisfies,
+/// and now and then a refuting unit at a chain's end or an empty hard
+/// clause.
+WcnfFormula cascadingHards(std::mt19937_64& rng) {
+  const int vars = 8 + static_cast<int>(rng() % 60);
+  auto below = [&](int n) {
+    return static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+  };
+  auto lit = [&] { return Lit(below(vars), below(2) == 1); };
+  WcnfFormula w(vars);
+  for (int u = 0, units = 1 + below(3); u < units; ++u) {
+    // A chain p0 -> p1 -> ... from a unit p0, each link one clause
+    // (~p_i | p_{i+1}), sometimes widened by a literal an earlier
+    // link forces false (the clause turns unit only then).
+    std::vector<Lit> chain{lit()};
+    w.addHard({chain[0]});
+    for (int i = 0, len = 2 + below(12); i < len; ++i) {
+      const Lit next = lit();
+      Clause c{~chain.back(), next};
+      if (below(3) == 0) c.push_back(~chain[rng() % chain.size()]);
+      if (below(5) == 0) c.push_back(c[0]);  // duplicate literal
+      std::shuffle(c.begin(), c.end(), rng);
+      w.addHard(c);
+      chain.push_back(next);
+    }
+    if (below(6) == 0) w.addHard({~chain.back()});  // refutes the chain
+  }
+  for (int i = 0, n = below(3 * vars); i < n; ++i) {
+    Clause c;
+    for (int k = 0, len = 1 + below(4); k < len; ++k) c.push_back(lit());
+    if (below(8) == 0) c.push_back(~c[0]);  // tautology
+    if (below(5) == 0) c.push_back(c[0]);   // duplicate literal
+    w.addHard(c);
+  }
+  if (below(40) == 0) w.addHard(Clause{});  // empty hard clause
+  w.addSoft({lit()}, 1);
+  return w;
+}
+
+TEST(Preprocess, HardPropagationMatchesTheSolverOnCascades) {
+  // preprocessWcnf's propagator against the CDCL solver's root-level
+  // propagation over the same hard clauses: the same forced values,
+  // and a refutation exactly when the solver's database is refuted.
+  std::mt19937_64 rng(19);
+  int refuted = 0;
+  int maxFixed = 0;
+  for (int round = 0; round < 2000; ++round) {
+    const WcnfFormula w = cascadingHards(rng);
+    Solver reference;
+    reference.newVars(w.numVars());
+    for (const std::span<const Lit> h : w.hard()) {
+      if (!reference.addClause(h)) break;
+    }
+    const PreprocessResult got = preprocessWcnf(w);
+    ASSERT_EQ(got.simplified.has_value(), reference.okay())
+        << "round " << round;
+    if (!reference.okay()) {
+      ++refuted;
+      continue;
+    }
+    for (Var v = 0; v < w.numVars(); ++v) {
+      ASSERT_EQ(got.forced[static_cast<std::size_t>(v)], reference.value(v))
+          << "round " << round << " var " << v;
+    }
+    maxFixed = std::max(maxFixed, got.fixedVars);
+  }
+  EXPECT_GT(refuted, 100);
+  EXPECT_LT(refuted, 1900);
+  EXPECT_GT(maxFixed, 20);  // long cascades, not only the units
+}
+
 // ---- TPG ------------------------------------------------------------------
 
 TEST(Tpg, DeadGatesFound) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <memory>
 #include <random>
@@ -268,6 +269,45 @@ TEST(Msu4, BoundsConvergeMonotonically) {
   ASSERT_EQ(r.status, MaxSatStatus::Optimum);
   EXPECT_GE(r.coresFound, 1);
   EXPECT_GE(r.iterations, r.coresFound);
+}
+
+TEST(Msu4, APollInsideTheFinalDescentGivesSoundBounds) {
+  // One core over two contradicting unit softs, then a satisfiable
+  // descent of 10000 decisions without a conflict: hard pairs (v | v+1)
+  // over 20000 variables. The last poll of an undisturbed run is a
+  // decision-cadence poll inside that descent; forcing it to expire
+  // must leave sound bounds around the optimum, 1.
+  WcnfFormula w(20001);
+  for (Var v = 1; v + 1 < w.numVars(); v += 2) {
+    w.addHard({posLit(v), posLit(v + 1)});
+  }
+  w.addSoft({posLit(0)}, 1);
+  w.addSoft({negLit(0)}, 1);
+
+  FaultInjector counting;
+  MaxSatOptions countingOpts;
+  countingOpts.sat.fault = &counting;
+  const MaxSatResult reference = makeSolver("msu4-v2", countingOpts)->solve(w);
+  ASSERT_EQ(reference.status, MaxSatStatus::Optimum);
+  ASSERT_EQ(reference.cost, 1);
+  EXPECT_EQ(reference.satStats.conflicts, 0);
+  EXPECT_GE(reference.satStats.decisions, 10000);
+
+  FaultInjector fault;
+  fault.expireAtPoll(counting.polls());
+  std::atomic<int> sink{static_cast<int>(AbortReason::kNone)};
+  MaxSatOptions o;
+  o.sat.fault = &fault;
+  o.budget.setAbortSink(&sink);
+  const MaxSatResult r = makeSolver("msu4-v2", o)->solve(w);
+  EXPECT_EQ(r.status, MaxSatStatus::Unknown);
+  EXPECT_EQ(static_cast<AbortReason>(sink.load()), AbortReason::kFault);
+  EXPECT_EQ(r.satStats.conflicts, 0);
+  EXPECT_EQ(r.satStats.decisions % 4096, 0);
+  EXPECT_LT(r.satStats.decisions, reference.satStats.decisions);
+  EXPECT_LE(r.lowerBound, 1);
+  EXPECT_GE(r.upperBound, 1);
+  EXPECT_EQ(r.lowerBound, 1);  // the core before the descent counts
 }
 
 TEST(Pbo, ReportsBoundsAndRetiresScopes) {

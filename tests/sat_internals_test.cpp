@@ -1,7 +1,9 @@
 /// White-box tests of the SAT substrate's internals: the clause arena
 /// (allocation, views, relocation GC), the indexed activity heap, and
 /// the Budget type. Plus stress tests that force reduceDB and GC through
-/// the public interface.
+/// the public interface, bulk variable creation (newVars) against the
+/// one-at-a-time path, and final-conflict cores against a reference
+/// walk of the implication graph.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include "proof/drup.h"
 #include "gen/pigeonhole.h"
 #include "gen/random_cnf.h"
+#include "harness/suite.h"
 #include "sat/arena.h"
 #include "sat/watches.h"
 #include "sat/budget.h"
@@ -445,6 +448,218 @@ TEST(BinaryFastPath, CoreThroughBinaryReasonChain) {
 
   // The database itself stays satisfiable without the assumptions.
   EXPECT_EQ(s.solve(), lbool::True);
+}
+
+// ---- Bulk variable creation ------------------------------------------------
+
+/// Loads `w` with one selector variable per soft clause (after the
+/// original variables), creating the variables one newVar() at a time
+/// or with two newVars() calls. Returns the selector assumptions.
+std::vector<Lit> loadWithSelectors(Solver& s, const WcnfFormula& w,
+                                   bool bulk) {
+  if (bulk) {
+    s.newVars(w.numVars());
+    s.newVars(w.numSoft());
+  } else {
+    for (int i = 0; i < w.numVars() + w.numSoft(); ++i) {
+      static_cast<void>(s.newVar());
+    }
+  }
+  for (const std::span<const Lit> h : w.hard()) {
+    static_cast<void>(s.addClause(h));
+  }
+  std::vector<Lit> assumps;
+  Clause c;
+  for (int i = 0; i < w.numSoft(); ++i) {
+    const std::span<const Lit> lits =
+        w.soft()[static_cast<std::size_t>(i)].lits;
+    c.assign(lits.begin(), lits.end());
+    const Var selector = w.numVars() + i;
+    c.push_back(posLit(selector));
+    static_cast<void>(s.addClause(c));
+    assumps.push_back(negLit(selector));
+  }
+  return assumps;
+}
+
+/// Both solvers are in the same search state so far.
+void expectSameSearch(const Solver& a, const Solver& b,
+                      const std::string& what) {
+  EXPECT_EQ(a.numVars(), b.numVars()) << what;
+  EXPECT_EQ(a.stats().decisions, b.stats().decisions) << what;
+  EXPECT_EQ(a.stats().propagations, b.stats().propagations) << what;
+  EXPECT_EQ(a.stats().conflicts, b.stats().conflicts) << what;
+  EXPECT_EQ(a.model(), b.model()) << what;
+  EXPECT_EQ(a.core(), b.core()) << what;
+}
+
+TEST(NewVars, MatchesANewVarLoopOnTheMixedSuite) {
+  const std::vector<Instance> suite =
+      buildMixedSuite({.sizeScale = 0.3, .perFamily = 2, .seed = 19});
+  std::int64_t conflicts = 0;
+  for (const Instance& inst : suite) {
+    Solver loop;
+    Solver bulk;
+    const std::vector<Lit> assumps = loadWithSelectors(loop, inst.wcnf, false);
+    ASSERT_EQ(loadWithSelectors(bulk, inst.wcnf, true), assumps);
+    ASSERT_EQ(bulk.numVars(), inst.wcnf.numVars() + inst.wcnf.numSoft());
+    expectSameSearch(loop, bulk, inst.name + " loaded");
+    // Every soft enforced (the suite is unsatisfiable: a core), then
+    // half of them, then none (a model of the hard clauses).
+    ASSERT_EQ(bulk.solve(assumps), loop.solve(assumps)) << inst.name;
+    expectSameSearch(loop, bulk, inst.name + " all softs");
+    const std::span<const Lit> half(assumps.data(), assumps.size() / 2);
+    ASSERT_EQ(bulk.solve(half), loop.solve(half)) << inst.name;
+    expectSameSearch(loop, bulk, inst.name + " half the softs");
+    ASSERT_EQ(bulk.solve(), loop.solve()) << inst.name;
+    expectSameSearch(loop, bulk, inst.name + " hard clauses");
+    conflicts += loop.stats().conflicts;
+  }
+  EXPECT_GE(suite.size(), 10u);
+  EXPECT_GT(conflicts, 0);  // real search, not only root propagation
+}
+
+TEST(NewVars, RecycledVariablesAndAnOpenScopeKeepNewVarSemantics) {
+  // Two solvers in the same state: a retired scope left recycled
+  // variables behind.
+  const auto prepare = [](Solver& s) {
+    s.newVars(8);
+    const Lit act = s.newActivator();
+    s.openScope(act);
+    for (int i = 0; i < 5; ++i) {
+      const Var v = s.newVar();
+      ASSERT_TRUE(s.addClause({negLit(0), posLit(v)}));
+    }
+    s.closeScope(act);
+    s.retire(act);
+  };
+  Solver loop;
+  Solver bulk;
+  prepare(loop);
+  prepare(bulk);
+  ASSERT_GT(loop.numFreeVars(), 0);
+  ASSERT_EQ(bulk.numFreeVars(), loop.numFreeVars());
+
+  // Recycles every free variable, then grows.
+  const int n = loop.numFreeVars() + 4;
+  for (int i = 0; i < n; ++i) static_cast<void>(loop.newVar());
+  bulk.newVars(n);
+  EXPECT_EQ(bulk.numVars(), loop.numVars());
+  EXPECT_EQ(bulk.numFreeVars(), 0);
+  EXPECT_EQ(loop.numFreeVars(), 0);
+
+  // With a scope open the new variables belong to it: its retirement
+  // recycles them.
+  const Lit loopAct = loop.newActivator();
+  const Lit bulkAct = bulk.newActivator();
+  loop.openScope(loopAct);
+  bulk.openScope(bulkAct);
+  for (int i = 0; i < 6; ++i) static_cast<void>(loop.newVar());
+  bulk.newVars(6);
+  loop.closeScope(loopAct);
+  bulk.closeScope(bulkAct);
+  loop.retire(loopAct);
+  bulk.retire(bulkAct);
+  EXPECT_EQ(bulk.numVars(), loop.numVars());
+  EXPECT_EQ(bulk.numFreeVars(), loop.numFreeVars());
+  EXPECT_GE(bulk.numFreeVars(), 6);
+
+  // The same search over every variable afterwards.
+  const CnfFormula f = randomKSat({.numVars = loop.numVars(),
+                                   .numClauses = 4 * loop.numVars(),
+                                   .clauseLen = 3,
+                                   .seed = 5});
+  for (const Clause& c : f.clauses()) {
+    const bool added = loop.addClause(c);
+    ASSERT_EQ(bulk.addClause(c), added);
+    if (!added) break;
+  }
+  ASSERT_EQ(bulk.solve(), loop.solve());
+  expectSameSearch(loop, bulk, "after recycling");
+}
+
+// ---- Final-conflict cores --------------------------------------------------
+
+TEST(AnalyzeFinal, CoreMatchesAReverseWalkOfTheImplicationGraph) {
+  // Assumptions x_0..x_{k-1} then q. Derived variables y_j each have a
+  // single clause that implies them from one to three antecedents among
+  // a root fact z, the x and earlier y, so every y has one reason and
+  // the trail's implication graph is fixed. A final clause (~y_m | ~q)
+  // makes q false when its turn comes. The core is then q followed by
+  // the x in y_m's cone, latest first: what a walk of the whole trail
+  // from its top down to the first decision collects. Cones that skip
+  // most of the x exercise the walk's early stop.
+  std::mt19937_64 rng(19);
+  const auto below = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  std::size_t skipped = 0;
+  for (int round = 0; round < 300; ++round) {
+    const std::size_t k = 3 + below(40);
+    const std::size_t d = 1 + below(60);
+    const Var z = 0;
+    const auto x = [](std::size_t i) { return static_cast<Var>(1 + i); };
+    const auto y = [&](std::size_t j) { return static_cast<Var>(1 + k + j); };
+    const Var q = static_cast<Var>(1 + k + d);
+    Solver s;
+    s.newVars(q + 1);
+    ASSERT_TRUE(s.addClause({posLit(z)}));
+    // ante[j]: y_j's antecedents; some rounds draw the x only from the
+    // last few, so the cone lies high on the trail.
+    const std::size_t xFrom = round % 2 == 0 ? 0 : below(k);
+    std::vector<std::vector<Var>> ante(d);
+    for (std::size_t j = 0; j < d; ++j) {
+      for (std::size_t a = 0, n = 1 + below(3); a < n; ++a) {
+        const std::size_t pick = below(4);
+        if (pick == 0) {
+          ante[j].push_back(z);
+        } else if (pick == 1 && j > 0) {
+          ante[j].push_back(y(below(j)));
+        } else {
+          ante[j].push_back(x(xFrom + below(k - xFrom)));
+        }
+      }
+      Clause c;
+      for (const Var v : ante[j]) c.push_back(negLit(v));
+      c.push_back(posLit(y(j)));
+      ASSERT_TRUE(s.addClause(c));
+    }
+    const std::size_t m = below(d);
+    const bool rootFalse = round % 10 == 9;  // q false at level 0
+    ASSERT_TRUE(rootFalse ? s.addClause({negLit(q)})
+                          : s.addClause({negLit(y(m)), negLit(q)}));
+
+    // Reference: y_m's cone over the antecedent lists.
+    std::vector<char> inCone(static_cast<std::size_t>(q + 1), 0);
+    std::vector<Var> stack{y(m)};
+    while (!stack.empty()) {
+      const Var v = stack.back();
+      stack.pop_back();
+      if (inCone[static_cast<std::size_t>(v)] != 0) continue;
+      inCone[static_cast<std::size_t>(v)] = 1;
+      if (v > static_cast<Var>(k)) {
+        for (const Var a : ante[static_cast<std::size_t>(v - y(0))]) {
+          stack.push_back(a);
+        }
+      }
+    }
+    std::vector<Lit> want{posLit(q)};
+    if (!rootFalse) {
+      for (std::size_t i = k; i-- > 0;) {
+        if (inCone[static_cast<std::size_t>(x(i))] != 0) {
+          want.push_back(posLit(x(i)));
+        }
+      }
+      skipped += k + 1 - want.size();
+    }
+
+    std::vector<Lit> assumps;
+    for (std::size_t i = 0; i < k; ++i) assumps.push_back(posLit(x(i)));
+    assumps.push_back(posLit(q));
+    ASSERT_EQ(s.solve(assumps), lbool::False) << "round " << round;
+    EXPECT_EQ(s.core(), want) << "round " << round;
+  }
+  EXPECT_GT(skipped, 0u);
 }
 
 }  // namespace

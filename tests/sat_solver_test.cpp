@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <random>
 
 #include "cnf/formula.h"
@@ -187,6 +188,45 @@ TEST(SatSolver, WallClockBudgetReturnsUndef) {
   Budget b = Budget::wallClock(0.05);
   s.setBudget(b);
   EXPECT_EQ(s.solve(), lbool::Undef);
+}
+
+TEST(SatSolver, APollStopsAConflictFreeDescent) {
+  // Pairs (v | v+1) over 20000 variables: deciding v false implies v+1,
+  // so the one search segment is 10000 decisions without a conflict.
+  // Only the decision cadence polls inside it.
+  const auto build = [](Solver& s) {
+    s.newVars(20000);
+    for (Var v = 0; v + 1 < s.numVars(); v += 2) {
+      ASSERT_TRUE(s.addClause({posLit(v), posLit(v + 1)}));
+    }
+  };
+  FaultInjector counting;
+  Solver::Options countingOpts;
+  countingOpts.fault = &counting;
+  Solver reference(countingOpts);
+  build(reference);
+  ASSERT_EQ(reference.solve(), lbool::True);
+  EXPECT_EQ(reference.stats().conflicts, 0);
+  EXPECT_GE(reference.stats().decisions, 10000);
+  // One poll entering solve(), one entering the segment, then one per
+  // 4096 decisions.
+  EXPECT_EQ(counting.polls(), 2 + reference.stats().decisions / 4096);
+
+  FaultInjector fault;
+  fault.expireAtPoll(3);  // the first decision-cadence poll
+  Solver::Options opts;
+  opts.fault = &fault;
+  Solver s(opts);
+  std::atomic<int> sink{static_cast<int>(AbortReason::kNone)};
+  Budget b;
+  b.setAbortSink(&sink);
+  s.setBudget(b);
+  build(s);
+  EXPECT_EQ(s.solve(), lbool::Undef);
+  EXPECT_EQ(static_cast<AbortReason>(sink.load()), AbortReason::kFault);
+  EXPECT_EQ(s.stats().conflicts, 0);
+  EXPECT_EQ(s.stats().decisions, 4096);
+  EXPECT_TRUE(s.model().empty());
 }
 
 TEST(SatSolver, StatsAreMonotone) {

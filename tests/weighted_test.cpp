@@ -518,5 +518,44 @@ TEST(UnitWeightForm, ACapBelowTheCopyAbortsWithMemory) {
   }
 }
 
+TEST(UnitWeightForm, MaxsatzStopsAtACapBelowItsClauseCopy) {
+  // maxsatz copies the clauses into its own occurrence-list engine; a
+  // cap below even the formula's flat store is below that copy, at unit
+  // weights (no duplication) and at weight 2 (duplicated first).
+  for (const Weight weight : {Weight{1}, Weight{2}}) {
+    const WcnfFormula w = reweighted(randomWeighted(8, 1), weight);
+    const MaxSatResult free = makeSolver("maxsatz", {})->solve(w);
+    ASSERT_EQ(free.status, MaxSatStatus::Optimum) << weight;
+
+    std::atomic<int> sink{static_cast<int>(AbortReason::kNone)};
+    MaxSatOptions o;
+    o.budget.setMaxMemory(w.memBytesEstimate());
+    o.budget.setAbortSink(&sink);
+    const MaxSatResult r = makeSolver("maxsatz", o)->solve(w);
+    EXPECT_EQ(r.status, MaxSatStatus::Unknown) << weight;
+    EXPECT_EQ(static_cast<AbortReason>(sink.load()), AbortReason::kMemory)
+        << weight;
+    EXPECT_LE(r.lowerBound, free.cost) << weight;
+    EXPECT_GE(r.upperBound, free.cost) << weight;
+  }
+}
+
+TEST(UnitWeightForm, MaxsatzChargesTheCallersBytes) {
+  // The bytes a caller charges (formula storage) count against the cap
+  // too: a cap the engine alone fits under trips once they are added.
+  const WcnfFormula w = reweighted(randomWeighted(9, 1), 1);
+  MaxSatOptions roomy;
+  roomy.budget.setMaxMemory(std::int64_t{64} << 20);
+  ASSERT_EQ(makeSolver("maxsatz", roomy)->solve(w).status,
+            MaxSatStatus::Optimum);
+  std::atomic<int> sink{static_cast<int>(AbortReason::kNone)};
+  MaxSatOptions charged = roomy;
+  charged.sat.external_mem_bytes = std::int64_t{64} << 20;
+  charged.budget.setAbortSink(&sink);
+  EXPECT_EQ(makeSolver("maxsatz", charged)->solve(w).status,
+            MaxSatStatus::Unknown);
+  EXPECT_EQ(static_cast<AbortReason>(sink.load()), AbortReason::kMemory);
+}
+
 }  // namespace
 }  // namespace msu
